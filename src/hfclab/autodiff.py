@@ -12,7 +12,7 @@ gradient.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class Tensor:
         else:
             self._grad += g  # safe: _grad is always an owned copy
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -79,16 +76,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r})"
-
-    # Operator sugar used throughout the model code.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
@@ -456,13 +443,29 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-def zero_all(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle
+
+
+def _central_difference_error(evaluate: Callable[[], float], flat: np.ndarray,
+                              analytic: np.ndarray, step: float, floor: float) -> float:
+    """Max relative error of `analytic` against central differences of evaluate().
+
+    Each entry of `flat` (which evaluate() reads) is bumped by +-step in place
+    and restored. The per-coordinate denominator is max(|analytic|, |numeric|,
+    floor).
+    """
+    numeric = np.empty(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        f_plus = evaluate()
+        flat[i] = orig - step
+        f_minus = evaluate()
+        flat[i] = orig
+        numeric[i] = (f_plus - f_minus) / (2.0 * step)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def finite_diff_check(
@@ -480,17 +483,6 @@ def finite_diff_check(
     probe = Tensor(x0.copy(), requires_grad=True)
     out = f(probe)
     backward(out)
-    analytic = probe.grad.reshape(-1)
-
-    numeric = np.empty(x0.size)
-    flat = x0.reshape(-1)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        f_plus = f(Tensor(bumped.reshape(x0.shape))).item()
-        bumped[i] = flat[i] - step
-        f_minus = f(Tensor(bumped.reshape(x0.shape))).item()
-        numeric[i] = (f_plus - f_minus) / (2.0 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    flat = x0.reshape(-1).copy()
+    return _central_difference_error(lambda: f(Tensor(flat.reshape(x0.shape))).item(),
+                                     flat, probe.grad.reshape(-1), step, 1e-8)

@@ -15,7 +15,7 @@ from . import continual as C
 from . import data as D
 from .config import ConfigError, RunConfig, config_to_dict, parse_config
 from .gradcheck import run_all_checks
-from .model import IncrementalModel, ModelConfig
+from .model import IncrementalModel
 from .seeding import stream_rng, stream_seed
 
 
@@ -32,19 +32,6 @@ def build_datasets(cfg: RunConfig, master_seed: int) -> tuple[D.Dataset, D.Datas
             channels=s.channels, class_noise=noise, seed=seed, split="test"))
         return train, test
     return D.load_cifar100_binary(cfg.cifar.train_path, cfg.cifar.test_path)
-
-
-def build_trainer_config(cfg: RunConfig) -> C.TrainerConfig:
-    t = cfg.trainer
-    return C.TrainerConfig(
-        alpha1=t.alpha1, alpha2=t.alpha2, learning_rate=t.learning_rate,
-        momentum=t.momentum, epochs_per_task=t.epochs_per_task,
-        batch_size=t.batch_size, memory_capacity=t.memory_capacity,
-        memory_mode=t.memory_mode, per_class_quota=t.per_class_quota,
-        uniform_weights=t.uniform_weights,
-        flip_augment=cfg.cifar.horizontal_flip if cfg.cifar else False,
-        loss=cfg.losses,
-    )
 
 
 def cmd_train(args) -> int:
@@ -65,21 +52,14 @@ def cmd_train(args) -> int:
                       else stream_seed(args.seed, "class-order-root"))
         stream = D.split_tasks(train_set.n_classes, cfg.stream.tasks,
                                cfg.stream.base_fraction, order_seed)
-        model_cfg = ModelConfig(
-            image_side=train_set.side, channels=train_set.channels,
-            patch_side=cfg.model.patch_side, embed_dim=cfg.model.embed_dim,
-            heads=cfg.model.heads, msa_blocks=cfg.model.msa_blocks,
-            tsa_blocks=cfg.model.tsa_blocks, mlp_ratio=cfg.model.mlp_ratio,
-            classifier_input=cfg.model.classifier_input)
-        model = IncrementalModel(model_cfg, stream.task_sizes[0],
+        model = IncrementalModel(cfg.model, stream.task_sizes[0],
                                  stream_rng(args.seed, "init"))
-        trainer_cfg = build_trainer_config(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
 
     try:
-        report = C.run_stream(stream, train_set, test_set, model, trainer_cfg,
+        report = C.run_stream(stream, train_set, test_set, model, cfg.trainer,
                               master_seed=args.seed, out_dir=args.out,
                               config_echo=config_to_dict(cfg))
     except RuntimeError as exc:

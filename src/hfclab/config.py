@@ -1,14 +1,19 @@
 """Run configuration: a versioned JSON schema validated before any work.
 
-Unknown keys are rejected with the offending field path so typos fail fast
-instead of silently falling back to defaults.
+Each block's keys, types and defaults are the fields of the dataclass it
+parses into. Unknown keys are rejected with the offending field path so typos
+fail fast instead of silently falling back to defaults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import MISSING, asdict, dataclass, fields
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
+from .continual import TrainerConfig
+from .data import CIFAR_CHANNELS, CIFAR_SIDE
 from .losses import LossConfig
+from .model import ModelConfig
 
 SCHEMA_VERSION = 1
 
@@ -45,63 +50,76 @@ class StreamBlock:
 
 
 @dataclass(frozen=True)
-class ModelBlock:
-    patch_side: int = 4
-    embed_dim: int = 32
-    heads: int = 4
-    msa_blocks: int = 2
-    tsa_blocks: int = 1
-    mlp_ratio: int = 4
-    classifier_input: str = "feature"
-
-
-@dataclass(frozen=True)
-class TrainerBlock:
-    alpha1: float = 1.0
-    alpha2: float = 0.1
-    learning_rate: float = 0.02
-    momentum: float = 0.5
-    epochs_per_task: int = 40
-    batch_size: int = 16
-    memory_capacity: int = 2000
-    memory_mode: str = "fixed_total"
-    per_class_quota: int = 20
-    uniform_weights: bool = False
-
-
-@dataclass(frozen=True)
 class RunConfig:
     dataset_type: str
     synthetic: SyntheticBlock | None
     cifar: CifarBlock | None
     stream: StreamBlock
-    model: ModelBlock = ModelBlock()
-    trainer: TrainerBlock = TrainerBlock()
-    losses: LossConfig = LossConfig()
+    model: ModelConfig
+    trainer: TrainerConfig
+
+    @property
+    def losses(self) -> LossConfig:
+        return self.trainer.loss
 
 
-_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
+_DATASETS = {"synthetic": SyntheticBlock, "cifar100": CifarBlock}
+# fields filled in from other blocks; their own block may not set them
+_DERIVED = {"model": ("image_side", "channels"), "trainer": ("flip_augment", "loss")}
+# integer fields are counts and must be at least 1, except these
+_MAY_BE_ZERO = frozenset({"msa_blocks", "tsa_blocks", "memory_capacity", "per_class_quota"})
+_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean", dict: "object"}
 
 
-def _take(block: dict, path: str, key: str, kind, default=..., allow_none=False):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _take(block: dict, path: str, key: str, hint, default=MISSING):
+    """Pop block[key] checked against a type hint, or return the default."""
+    path = f"{path}.{key}"
     if key not in block:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}", "required key missing")
+        if default is MISSING:
+            raise ConfigError(path, "required key missing")
         return default
     value = block.pop(key)
-    if value is None and allow_none:
-        return None
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(hint, UnionType):  # `X | None`, the schema's only union
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+            raise ConfigError(path, "expected a list of numbers")
+        return tuple(float(v) for v in value)
+    if hint is float and _is_number(value):
         value = float(value)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{path}.{key}", f"expected {_TYPES.get(kind, kind)}, got {value!r}")
+    if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
+        raise ConfigError(path, f"expected {_TYPES[hint]}, got {value!r}")
     return value
 
 
-def _reject_unknown(block: dict, path: str) -> None:
-    if block:
-        key = sorted(block)[0]
-        raise ConfigError(f"{path}.{key}", "unknown key")
+def _fields(raw: dict, path: str, cls, skip: tuple[str, ...] = ()) -> dict:
+    """Checked values for the fields of `cls` (minus `skip`), defaults filled in."""
+    raw = dict(raw)
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        values[f.name] = _take(raw, path, f.name, hints[f.name], f.default)
+        minimum = 0 if f.name in _MAY_BE_ZERO else 1
+        if hints[f.name] is int and values[f.name] < minimum:
+            raise ConfigError(f"{path}.{f.name}", f"must be at least {minimum}")
+    if raw:
+        raise ConfigError(f"{path}.{sorted(raw)[0]}", "unknown key")
+    return values
+
+
+def _build(cls, path: str, values: dict):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def parse_config(raw: Any) -> RunConfig:
@@ -111,174 +129,56 @@ def parse_config(raw: Any) -> RunConfig:
     version = _take(raw, "$", "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigError("$.schema_version", f"unsupported version {version}")
-
-    dataset = _take(raw, "$", "dataset", dict)
+    dataset = dict(_take(raw, "$", "dataset", dict))
     stream_raw = _take(raw, "$", "stream", dict)
-    model_raw = _take(raw, "$", "model", dict, default={})
-    trainer_raw = _take(raw, "$", "trainer", dict, default={})
-    losses_raw = _take(raw, "$", "losses", dict, default={})
-    _reject_unknown(raw, "$")
+    blocks = {name: _take(raw, "$", name, dict, {}) for name in ("model", "trainer", "losses")}
+    if raw:
+        raise ConfigError(f"$.{sorted(raw)[0]}", "unknown key")
 
-    dataset = dict(dataset)
     dtype = _take(dataset, "$.dataset", "type", str)
-    synthetic = cifar = None
-    if dtype == "synthetic":
-        noise = _take(dataset, "$.dataset", "class_noise", list, default=None, allow_none=True)
-        if noise is not None:
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in noise):
-                raise ConfigError("$.dataset.class_noise", "expected a list of numbers")
-            noise = tuple(float(v) for v in noise)
-        synthetic = SyntheticBlock(
-            classes=_take(dataset, "$.dataset", "classes", int),
-            samples_per_class=_take(dataset, "$.dataset", "samples_per_class", int),
-            test_samples_per_class=_take(dataset, "$.dataset", "test_samples_per_class",
-                                         int, default=10),
-            side=_take(dataset, "$.dataset", "side", int, default=16),
-            channels=_take(dataset, "$.dataset", "channels", int, default=1),
-            class_noise=noise,
-            seed=_take(dataset, "$.dataset", "seed", int, default=None, allow_none=True),
-        )
-    elif dtype == "cifar100":
-        cifar = CifarBlock(
-            train_path=_take(dataset, "$.dataset", "train_path", str),
-            test_path=_take(dataset, "$.dataset", "test_path", str),
-            horizontal_flip=_take(dataset, "$.dataset", "horizontal_flip", bool,
-                                  default=False),
-        )
-    else:
+    if dtype not in _DATASETS:
         raise ConfigError("$.dataset.type", f"unknown dataset type {dtype!r}")
-    _reject_unknown(dataset, "$.dataset")
+    data = _DATASETS[dtype](**_fields(dataset, "$.dataset", _DATASETS[dtype]))
+    stream = StreamBlock(**_fields(stream_raw, "$.stream", StreamBlock))
+    model = _fields(blocks["model"], "$.model", ModelConfig, _DERIVED["model"])
+    trainer = _fields(blocks["trainer"], "$.trainer", TrainerConfig, _DERIVED["trainer"])
+    losses = _build(LossConfig, "$.losses", _fields(blocks["losses"], "$.losses", LossConfig))
 
-    stream_raw = dict(stream_raw)
-    stream = StreamBlock(
-        tasks=_take(stream_raw, "$.stream", "tasks", int),
-        base_fraction=_take(stream_raw, "$.stream", "base_fraction", float, default=0.0),
-        class_order_seed=_take(stream_raw, "$.stream", "class_order_seed", int,
-                               default=None, allow_none=True),
-    )
-    _reject_unknown(stream_raw, "$.stream")
-
-    model_raw = dict(model_raw)
-    model = ModelBlock(
-        patch_side=_take(model_raw, "$.model", "patch_side", int, default=4),
-        embed_dim=_take(model_raw, "$.model", "embed_dim", int, default=32),
-        heads=_take(model_raw, "$.model", "heads", int, default=4),
-        msa_blocks=_take(model_raw, "$.model", "msa_blocks", int, default=2),
-        tsa_blocks=_take(model_raw, "$.model", "tsa_blocks", int, default=1),
-        mlp_ratio=_take(model_raw, "$.model", "mlp_ratio", int, default=4),
-        classifier_input=_take(model_raw, "$.model", "classifier_input", str,
-                               default="feature"),
-    )
-    _reject_unknown(model_raw, "$.model")
-
-    trainer_raw = dict(trainer_raw)
-    trainer = TrainerBlock(
-        alpha1=_take(trainer_raw, "$.trainer", "alpha1", float, default=1.0),
-        alpha2=_take(trainer_raw, "$.trainer", "alpha2", float, default=0.1),
-        learning_rate=_take(trainer_raw, "$.trainer", "learning_rate", float, default=0.02),
-        momentum=_take(trainer_raw, "$.trainer", "momentum", float, default=0.5),
-        epochs_per_task=_take(trainer_raw, "$.trainer", "epochs_per_task", int, default=40),
-        batch_size=_take(trainer_raw, "$.trainer", "batch_size", int, default=16),
-        memory_capacity=_take(trainer_raw, "$.trainer", "memory_capacity", int, default=2000),
-        memory_mode=_take(trainer_raw, "$.trainer", "memory_mode", str,
-                          default="fixed_total"),
-        per_class_quota=_take(trainer_raw, "$.trainer", "per_class_quota", int, default=20),
-        uniform_weights=_take(trainer_raw, "$.trainer", "uniform_weights", bool,
-                              default=False),
-    )
-    _reject_unknown(trainer_raw, "$.trainer")
-
-    losses_raw = dict(losses_raw)
-    try:
-        loss_cfg = LossConfig(
-            relation_target=_take(losses_raw, "$.losses", "relation_target", str,
-                                  default="renormalized"),
-            kl_direction=_take(losses_raw, "$.losses", "kl_direction", str,
-                               default="student_teacher"),
-            weight_stop_gradient=_take(losses_raw, "$.losses", "weight_stop_gradient",
-                                       bool, default=True),
-        )
-    except ValueError as exc:
-        raise ConfigError("$.losses", str(exc))
-    _reject_unknown(losses_raw, "$.losses")
-
-    cfg = RunConfig(dataset_type=dtype, synthetic=synthetic, cifar=cifar,
-                    stream=stream, model=model, trainer=trainer, losses=loss_cfg)
-    _validate_cross_fields(cfg)
-    return cfg
-
-
-def _validate_cross_fields(cfg: RunConfig) -> None:
-    if cfg.synthetic is not None:
-        if cfg.synthetic.side % cfg.model.patch_side != 0:
+    synthetic = data if dtype == "synthetic" else None
+    cifar = data if dtype == "cifar100" else None
+    if synthetic is not None:
+        if synthetic.side % model["patch_side"] != 0:
             raise ConfigError("$.dataset.side",
-                              f"must be divisible by model patch_side {cfg.model.patch_side}")
-        if cfg.synthetic.class_noise is not None and \
-                len(cfg.synthetic.class_noise) != cfg.synthetic.classes:
-            raise ConfigError("$.dataset.class_noise",
-                              f"need {cfg.synthetic.classes} entries")
-    if cfg.model.embed_dim % cfg.model.heads != 0:
-        raise ConfigError("$.model.embed_dim",
-                          f"must be divisible by heads {cfg.model.heads}")
-    if cfg.stream.base_fraction not in (0.0, 0.5):
+                              f"must be divisible by model patch_side {model['patch_side']}")
+        if synthetic.class_noise is not None and \
+                len(synthetic.class_noise) != synthetic.classes:
+            raise ConfigError("$.dataset.class_noise", f"need {synthetic.classes} entries")
+    if stream.base_fraction not in (0.0, 0.5):
         raise ConfigError("$.stream.base_fraction", "must be 0.0 or 0.5")
-    if cfg.trainer.memory_mode not in ("fixed_total", "per_class"):
+    if trainer["memory_mode"] not in ("fixed_total", "per_class"):
         raise ConfigError("$.trainer.memory_mode", "must be fixed_total or per_class")
+
+    side, channels = ((synthetic.side, synthetic.channels) if synthetic is not None
+                      else (CIFAR_SIDE, CIFAR_CHANNELS))
+    return RunConfig(
+        dataset_type=dtype, synthetic=synthetic, cifar=cifar, stream=stream,
+        model=_build(ModelConfig, "$.model",
+                     dict(model, image_side=side, channels=channels)),
+        trainer=_build(TrainerConfig, "$.trainer",
+                       dict(trainer, flip_augment=cifar is not None and cifar.horizontal_flip,
+                            loss=losses)),
+    )
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Echo that re-parses to an equivalent RunConfig."""
-    if cfg.dataset_type == "synthetic":
-        s = cfg.synthetic
-        dataset = {
-            "type": "synthetic",
-            "classes": s.classes,
-            "samples_per_class": s.samples_per_class,
-            "test_samples_per_class": s.test_samples_per_class,
-            "side": s.side,
-            "channels": s.channels,
-            "class_noise": None if s.class_noise is None else list(s.class_noise),
-            "seed": s.seed,
-        }
-    else:
-        dataset = {
-            "type": "cifar100",
-            "train_path": cfg.cifar.train_path,
-            "test_path": cfg.cifar.test_path,
-            "horizontal_flip": cfg.cifar.horizontal_flip,
-        }
-    return {
+    out = {
         "schema_version": SCHEMA_VERSION,
-        "dataset": dataset,
-        "stream": {
-            "tasks": cfg.stream.tasks,
-            "base_fraction": cfg.stream.base_fraction,
-            "class_order_seed": cfg.stream.class_order_seed,
-        },
-        "model": {
-            "patch_side": cfg.model.patch_side,
-            "embed_dim": cfg.model.embed_dim,
-            "heads": cfg.model.heads,
-            "msa_blocks": cfg.model.msa_blocks,
-            "tsa_blocks": cfg.model.tsa_blocks,
-            "mlp_ratio": cfg.model.mlp_ratio,
-            "classifier_input": cfg.model.classifier_input,
-        },
-        "trainer": {
-            "alpha1": cfg.trainer.alpha1,
-            "alpha2": cfg.trainer.alpha2,
-            "learning_rate": cfg.trainer.learning_rate,
-            "momentum": cfg.trainer.momentum,
-            "epochs_per_task": cfg.trainer.epochs_per_task,
-            "batch_size": cfg.trainer.batch_size,
-            "memory_capacity": cfg.trainer.memory_capacity,
-            "memory_mode": cfg.trainer.memory_mode,
-            "per_class_quota": cfg.trainer.per_class_quota,
-            "uniform_weights": cfg.trainer.uniform_weights,
-        },
-        "losses": {
-            "relation_target": cfg.losses.relation_target,
-            "kl_direction": cfg.losses.kl_direction,
-            "weight_stop_gradient": cfg.losses.weight_stop_gradient,
-        },
+        "dataset": {"type": cfg.dataset_type, **asdict(cfg.synthetic or cfg.cifar)},
+        "stream": asdict(cfg.stream),
+        "losses": asdict(cfg.losses),
     }
+    for name, derived in _DERIVED.items():
+        block = asdict(getattr(cfg, name))
+        out[name] = {key: value for key, value in block.items() if key not in derived}
+    return out

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -237,10 +236,6 @@ class TaskRecord:
     sample_tasks: np.ndarray
 
 
-def eval_threads() -> int:
-    return max(1, int(os.environ.get("HFC_THREADS", "1")))
-
-
 def run_stream(
     stream: TaskStream,
     train_set: "Dataset",
@@ -356,7 +351,7 @@ def _train_one_task(task_index, space, stream, train_set, train_labels, test_set
     eval_mask = test_labels < seen
     eval_images = test_set.images[eval_mask]
     eval_labels = test_labels[eval_mask]
-    probs = MT.predict_probs(model, eval_images, threads=eval_threads())
+    probs = MT.predict_probs(model, eval_images)
     top1 = MT.top1_accuracy(probs, eval_labels)
     per_class = MT.per_class_accuracy(probs, eval_labels)
     abs_gradients = np.abs(probs[np.arange(len(eval_labels)), eval_labels] - 1.0)
@@ -374,19 +369,8 @@ def _train_one_task(task_index, space, stream, train_set, train_labels, test_set
 def _batch_loss(batch: LS.BatchView, task_index: int, config: TrainerConfig):
     if task_index == 0:
         return LS.ce_loss(batch)
-    if config.uniform_weights:
-        total = ad.scale(LS.ce_loss(batch), config.alpha1)
-    else:
-        stats = LS.gradient_stats(batch)
-        total = ad.scale(LS.gfc_loss(batch, stats, config.loss.weight_stop_gradient),
-                         config.alpha1)
-    if config.alpha2 > 0:
-        stats = LS.gradient_stats(batch)
-        targets = LS.relation_groundtruth(batch, config.loss.relation_target)
-        protos, refs = LS.relation_prototypes(batch, targets)
-        total = ad.add(total, ad.scale(
-            LS.grd_loss(batch, stats, protos, refs, config.loss), config.alpha2))
-    return total
+    return LS.objective(batch, None, config.alpha1, config.alpha2, config.loss,
+                        config.uniform_weights)
 
 
 def _class_features(model, train_set, train_labels, space) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -438,7 +422,7 @@ def write_summary_json(path: Path, report: MT.RunReport, records: list[TaskRecor
                        wall_clock: float, config_echo: dict | None = None) -> None:
     payload = {
         "seed": master_seed,
-        "config": config_echo if config_echo is not None else _trainer_config_dict(config),
+        "config": config_echo if config_echo is not None else asdict(config),
         "tasks": [
             {
                 "task_index": r.task_index,
@@ -454,23 +438,3 @@ def write_summary_json(path: Path, report: MT.RunReport, records: list[TaskRecor
         "wall_clock_seconds": wall_clock,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _trainer_config_dict(config: TrainerConfig) -> dict:
-    return {
-        "alpha1": config.alpha1,
-        "alpha2": config.alpha2,
-        "learning_rate": config.learning_rate,
-        "momentum": config.momentum,
-        "epochs_per_task": config.epochs_per_task,
-        "batch_size": config.batch_size,
-        "memory_capacity": config.memory_capacity,
-        "memory_mode": config.memory_mode,
-        "per_class_quota": config.per_class_quota,
-        "uniform_weights": config.uniform_weights,
-        "loss": {
-            "relation_target": config.loss.relation_target,
-            "kl_direction": config.loss.kl_direction,
-            "weight_stop_gradient": config.loss.weight_stop_gradient,
-        },
-    }

@@ -17,7 +17,8 @@ from .continual import TaskStream
 from .seeding import stream_rng
 
 CIFAR_SIDE = 32
-CIFAR_RECORD_BYTES = 2 + 3 * CIFAR_SIDE * CIFAR_SIDE  # coarse + fine + RGB planes
+CIFAR_CHANNELS = 3
+CIFAR_RECORD_BYTES = 2 + CIFAR_CHANNELS * CIFAR_SIDE * CIFAR_SIDE  # coarse + fine + RGB planes
 CIFAR_CLASSES = 100
 
 DATASET_MAGIC = b"HFCD"
@@ -59,9 +60,6 @@ class Dataset:
 
     def indices_of_class(self, cls: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cls)
-
-    def subset(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.images[indices], self.labels[indices]
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def read_label_records(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nda
             raise ValueError(
                 f"{path}: {name} label {labels[bad[0]]} out of range at byte offset {offset}"
             )
-    pixels = records[:, 2:].reshape(n, 3, CIFAR_SIDE, CIFAR_SIDE).copy()
+    pixels = records[:, 2:].reshape(n, CIFAR_CHANNELS, CIFAR_SIDE, CIFAR_SIDE).copy()
     return coarse, fine, pixels
 
 

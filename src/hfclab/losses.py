@@ -259,6 +259,7 @@ def grd_loss(
     still counts every seen class.
     """
     terms: list[Tensor] = []
+    sharp = None if cfg.weight_stop_gradient else _sharpened_tensor(batch)
     for cls, proto in prototypes.items():
         task = int(batch.class_to_task[cls])
         div = kl_divergence(proto, references[cls], cfg.kl_direction)
@@ -267,7 +268,6 @@ def grd_loss(
             weight = stats.class_sharp_mean[cls] / denom if denom != 0.0 else 1.0
             terms.append(ad.scale(div, weight))
         else:
-            sharp = _sharpened_tensor(batch)
             cls_mask = (batch.labels == cls).astype(float)
             task_mask = (batch.sample_tasks() == task).astype(float)
             cls_mean = ad.scale(ad.sum_(ad.mul(sharp, ad.constant(cls_mask))), 1.0 / cls_mask.sum())
@@ -286,13 +286,24 @@ def grd_loss(
 
 def objective(
     batch: BatchView,
-    stats: GradientStats,
+    stats: GradientStats | None,
     alpha1: float,
     alpha2: float,
     cfg: LossConfig = LossConfig(),
+    uniform_weights: bool = False,
 ) -> Tensor:
-    """alpha1 * compensation loss + alpha2 * relation distillation loss."""
-    total = ad.scale(gfc_loss(batch, stats, cfg.weight_stop_gradient), alpha1)
+    """alpha1 * compensation loss + alpha2 * relation distillation loss.
+
+    uniform_weights puts plain cross-entropy in place of the compensation
+    loss; with alpha2 = 0 that is the replay baseline. stats None measures
+    them on this batch, once, and only if a term needs them.
+    """
+    if stats is None and not (uniform_weights and alpha2 == 0.0):
+        stats = gradient_stats(batch)
+    if uniform_weights:
+        total = ad.scale(ce_loss(batch), alpha1)
+    else:
+        total = ad.scale(gfc_loss(batch, stats, cfg.weight_stop_gradient), alpha1)
     if alpha2 != 0.0:
         targets = relation_groundtruth(batch, cfg.relation_target)
         prototypes, references = relation_prototypes(batch, targets)

@@ -7,7 +7,6 @@ task gives zero; unequal forgetting speeds push it up.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,24 +35,9 @@ def predict_outputs(model, images: np.ndarray, chunk: int = EVAL_CHUNK) -> tuple
     return np.concatenate(probs, axis=0), np.concatenate(feats, axis=0)
 
 
-def predict_probs(model, images: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Softmax rows for a stack of images, reduced in sample order.
-
-    The work is split into the same fixed-size chunks regardless of thread
-    count, so the thread setting affects scheduling only, never the numbers.
-    """
-    if threads <= 1 or len(images) < 2:
-        return predict_outputs(model, images)[0]
-    starts = list(range(0, len(images), EVAL_CHUNK))
-    out: list[np.ndarray | None] = [None] * len(starts)
-
-    def work(slot: int) -> None:
-        start = starts[slot]
-        out[slot] = predict_outputs(model, images[start:start + EVAL_CHUNK])[0]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(len(starts))))
-    return np.concatenate(out, axis=0)
+def predict_probs(model, images: np.ndarray) -> np.ndarray:
+    """Softmax rows for a stack of images: the evaluation entry point."""
+    return predict_outputs(model, images)[0]
 
 
 def top1_accuracy(probs: np.ndarray, labels: np.ndarray) -> float:

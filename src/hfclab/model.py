@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +49,6 @@ class ModelConfig:
             )
         if self.classifier_input not in ("feature", "feature_cls"):
             raise ValueError(f"unknown classifier_input {self.classifier_input!r}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
 
     @property
     def n_patches(self) -> int:
@@ -101,17 +97,44 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, self.w1), self.b1)), self.w2), self.b2)
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
+
+def _block_parameters(block, prefix: str) -> dict[str, Tensor]:
+    """A block's tensor attributes by `prefix.attr`, nested Mlp ones included."""
+    params: dict[str, Tensor] = {}
+    for attr, value in vars(block).items():
+        if isinstance(value, Tensor):
+            params[f"{prefix}.{attr}"] = value
+        elif isinstance(value, Mlp):
+            params.update(_block_parameters(value, f"{prefix}.{attr}"))
+    return params
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int,
+            heads: int) -> tuple[Tensor, list[np.ndarray]]:
+    """Multi-head sample-local attention over `batch` stacked samples.
+
+    q, k and v are full-width projections, split into `heads` column blocks;
+    q is scaled by 1/sqrt(head width). Returns the re-concatenated head
+    outputs and each head's attention probabilities for the first sample.
+    """
+    head_dim = q.shape[1] // heads
+    sizes = [head_dim] * heads
+    q = ad.scale(q, 1.0 / math.sqrt(head_dim))
+    outs, first = [], []
+    for qh, kh, vh in zip(ad.split(q, sizes, axis=1), ad.split(k, sizes, axis=1),
+                          ad.split(v, sizes, axis=1)):
+        out, probs = ad.attention(qh, kh, vh, batch)
+        outs.append(out)
+        first.append(probs[0])
+    return ad.concat(outs, axis=1), first
 
 
 class SelfAttentionBlock:
     """Pre-normed multi-head self-attention with a residual MLP tail.
 
     The query/key/value projections are stored as full width-by-width
-    matrices and split per head along columns at forward time. Attention
-    probabilities are recorded (diagnostics) only on single-sample calls.
+    matrices and split per head along columns at forward time. The first
+    sample's attention probabilities of the last call are kept for diagnostics.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -131,34 +154,13 @@ class SelfAttentionBlock:
 
     def forward_rows(self, z: Tensor, batch: int) -> Tensor:
         """z holds `batch` samples stacked as consecutive row blocks."""
-        cfg = self.cfg
-        head_sizes = [cfg.head_dim] * cfg.heads
         zn = ad.layer_norm(z, self.norm1_gain, self.norm1_bias)
-        scaled_q = ad.scale(ad.matmul(zn, self.w_q), 1.0 / math.sqrt(cfg.head_dim))
-        q_heads = ad.split(scaled_q, head_sizes, axis=1)
-        k_heads = ad.split(ad.matmul(zn, self.w_k), head_sizes, axis=1)
-        v_heads = ad.split(ad.matmul(zn, self.w_v), head_sizes, axis=1)
-        outs = []
-        if batch == 1:
-            self.last_attention = []
-        for q, k, v in zip(q_heads, k_heads, v_heads):
-            attended_head, probs = ad.attention(q, k, v, batch)
-            if batch == 1:
-                self.last_attention.append(probs[0])
-            outs.append(attended_head)
-        attended = ad.add(z, ad.matmul(ad.concat(outs, axis=1), self.w_o))
+        heads, self.last_attention = _attend(
+            ad.matmul(zn, self.w_q), ad.matmul(zn, self.w_k), ad.matmul(zn, self.w_v),
+            batch, self.cfg.heads)
+        attended = ad.add(z, ad.matmul(heads, self.w_o))
         normed = ad.layer_norm(attended, self.norm2_gain, self.norm2_bias)
         return ad.add(attended, self.mlp(normed))
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        params = {
-            f"{prefix}.norm1_gain": self.norm1_gain, f"{prefix}.norm1_bias": self.norm1_bias,
-            f"{prefix}.w_q": self.w_q, f"{prefix}.w_k": self.w_k,
-            f"{prefix}.w_v": self.w_v, f"{prefix}.w_o": self.w_o,
-            f"{prefix}.norm2_gain": self.norm2_gain, f"{prefix}.norm2_bias": self.norm2_bias,
-        }
-        params.update(self.mlp.parameters(f"{prefix}.mlp"))
-        return params
 
 
 class AggregationBlock:
@@ -186,36 +188,14 @@ class AggregationBlock:
 
     def forward_rows(self, e: Tensor, z: Tensor, batch: int) -> Tensor:
         """e holds one query row per sample; z the stacked patch rows."""
-        cfg = self.cfg
-        head_sizes = [cfg.head_dim] * cfg.heads
         en = ad.layer_norm(e, self.normq_gain, self.normq_bias)
         zn = ad.layer_norm(z, self.normz_gain, self.normz_bias)
-        scaled_q = ad.scale(ad.matmul(en, self.v_q), 1.0 / math.sqrt(cfg.head_dim))
-        q_heads = ad.split(scaled_q, head_sizes, axis=1)
-        k_heads = ad.split(ad.matmul(zn, self.v_k), head_sizes, axis=1)
-        v_heads = ad.split(ad.matmul(zn, self.v_v), head_sizes, axis=1)
-        outs = []
-        if batch == 1:
-            self.last_attention = []
-        for q, k, v in zip(q_heads, k_heads, v_heads):
-            attended_head, probs = ad.attention(q, k, v, batch)
-            if batch == 1:
-                self.last_attention.append(probs[0])
-            outs.append(attended_head)
-        aggregated = ad.matmul(ad.concat(outs, axis=1), self.v_o)
+        heads, self.last_attention = _attend(
+            ad.matmul(en, self.v_q), ad.matmul(zn, self.v_k), ad.matmul(zn, self.v_v),
+            batch, self.cfg.heads)
+        aggregated = ad.matmul(heads, self.v_o)
         normed = ad.layer_norm(aggregated, self.norm2_gain, self.norm2_bias)
         return ad.add(aggregated, self.mlp(normed))
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        params = {
-            f"{prefix}.normq_gain": self.normq_gain, f"{prefix}.normq_bias": self.normq_bias,
-            f"{prefix}.normz_gain": self.normz_gain, f"{prefix}.normz_bias": self.normz_bias,
-            f"{prefix}.v_q": self.v_q, f"{prefix}.v_k": self.v_k,
-            f"{prefix}.v_v": self.v_v, f"{prefix}.v_o": self.v_o,
-            f"{prefix}.norm2_gain": self.norm2_gain, f"{prefix}.norm2_bias": self.norm2_bias,
-        }
-        params.update(self.mlp.parameters(f"{prefix}.mlp"))
-        return params
 
 
 def image_to_patches(image: np.ndarray, patch_side: int) -> np.ndarray:
@@ -257,23 +237,18 @@ class IncrementalModel:
     # -- forward ------------------------------------------------------------
 
     def embed(self, image: np.ndarray) -> Tensor:
-        if image.shape != (self.cfg.channels, self.cfg.image_side, self.cfg.image_side):
-            raise ValueError(
-                f"image shape {image.shape} does not match config "
-                f"({self.cfg.channels}, {self.cfg.image_side}, {self.cfg.image_side})"
-            )
         return self._embed_batch(image[np.newaxis])
 
     def _embed_batch(self, images: np.ndarray) -> Tensor:
         """(b, C, S, S) -> (b*(N+1), D) with each sample's class token last."""
+        expected = (self.cfg.channels, self.cfg.image_side, self.cfg.image_side)
+        if images.shape[1:] != expected:
+            raise ValueError(f"image shape {images.shape[1:]} does not match config {expected}")
         b = len(images)
         n = self.cfg.n_patches
         patches = ad.constant(np.concatenate(
             [image_to_patches(img, self.cfg.patch_side) for img in images]))
         z_e = ad.add(ad.matmul(patches, self.patch_proj), self.patch_bias)
-        if b == 1:
-            stacked = ad.concat([z_e, self.cls_token], axis=0)
-            return ad.add(stacked, self.pos_token)
         chunks = ad.split(z_e, [n] * b, axis=0)
         stacked = ad.concat(
             [part for chunk in chunks for part in (chunk, self.cls_token)], axis=0)
@@ -286,21 +261,17 @@ class IncrementalModel:
     def forward_batch(self, images: np.ndarray) -> tuple[Tensor, Tensor]:
         """(b, C, S, S) -> (b, n_classes) logits and (b, embed_dim) features."""
         b = len(images)
-        expected = (self.cfg.channels, self.cfg.image_side, self.cfg.image_side)
-        if images.shape[1:] != expected:
-            raise ValueError(f"image shape {images.shape[1:]} does not match config {expected}")
         z = self._embed_batch(images)
         for block in self.msa:
             z = block.forward_rows(z, b)
-        e = self.task_embedding if b == 1 else ad.tile_rows(self.task_embedding, b)
+        e = ad.tile_rows(self.task_embedding, b)
         for block in self.tsa:
             e = block.forward_rows(e, z, b)
         if self.cfg.classifier_input == "feature_cls":
             rows = self.cfg.n_patches + 1
-            parts = ad.split(z, [rows] * b, axis=0) if b > 1 else [z]
+            parts = ad.split(z, [rows] * b, axis=0)
             cls_rows = [ad.split(part, [rows - 1, 1], axis=0)[1] for part in parts]
-            cls_stack = cls_rows[0] if b == 1 else ad.concat(cls_rows, axis=0)
-            head_in = ad.concat([e, cls_stack], axis=1)
+            head_in = ad.concat([e, ad.concat(cls_rows, axis=0)], axis=1)
         else:
             head_in = e
         # broadcast-multiply instead of a GEMM: each logit reduces over its own
@@ -329,9 +300,9 @@ class IncrementalModel:
             "classifier.bias": self.cls_bias,
         }
         for i, block in enumerate(self.msa):
-            params.update(block.parameters(f"msa{i}"))
+            params.update(_block_parameters(block, f"msa{i}"))
         for i, block in enumerate(self.tsa):
-            params.update(block.parameters(f"tsa{i}"))
+            params.update(_block_parameters(block, f"tsa{i}"))
         return params
 
     # -- task lifecycle -------------------------------------------------------
@@ -349,36 +320,40 @@ class IncrementalModel:
 
     def snapshot(self) -> "IncrementalModel":
         """Frozen deep copy; its parameters never join a gradient record."""
-        clone = IncrementalModel.__new__(IncrementalModel)
-        clone.cfg = self.cfg
-        clone.n_classes = self.n_classes
+        state = self.state_dict()
+        state["params"] = {name: arr.copy() for name, arr in state["params"].items()}
+        clone = IncrementalModel.from_state_dict(state)
         clone.frozen = True
-        live = self.parameters()
-        rng = np.random.default_rng(0)  # structural init only; overwritten below
-        skeleton = IncrementalModel(self.cfg, self.n_classes, rng)
-        for attr in ("patch_proj", "patch_bias", "cls_token", "pos_token",
-                     "task_embedding", "msa", "tsa"):
-            setattr(clone, attr, getattr(skeleton, attr))
-        clone.cls_weight = skeleton.cls_weight
-        clone.cls_bias = skeleton.cls_bias
-        for name, tensor in clone.parameters().items():
-            tensor.data = live[name].data.copy()
+        for tensor in clone.parameters().values():
             tensor.requires_grad = False
         return clone
 
     # -- persistence -----------------------------------------------------------
 
+    def state_dict(self) -> dict:
+        """Class count, config, and the parameter arrays (not copied) by sorted name."""
+        return {"n_classes": self.n_classes, "config": asdict(self.cfg),
+                "params": {name: t.data for name, t in sorted(self.parameters().items())}}
+
+    @classmethod
+    def from_state_dict(cls, state: dict) -> "IncrementalModel":
+        """The model state_dict() describes; parameter names and shapes must match."""
+        model = cls(ModelConfig(**state["config"]), state["n_classes"],
+                    np.random.default_rng(0))  # structural init only; overwritten below
+        params = model.parameters()
+        if set(params) != set(state["params"]):
+            raise ValueError("checkpoint parameter names do not match the architecture")
+        for name, arr in state["params"].items():
+            if arr.shape != params[name].data.shape:
+                raise ValueError(f"checkpoint shape mismatch for {name}")
+            params[name].data = arr
+        return model
+
     def save_checkpoint(self, path: str | Path, task_index: int) -> None:
-        payload = {
-            "format_version": 1,
-            "task_index": task_index,
-            "n_classes": self.n_classes,
-            "config": asdict(self.cfg),
-            "params": {
-                name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-                for name, t in sorted(self.parameters().items())
-            },
-        }
+        state = self.state_dict()
+        state["params"] = {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                           for name, arr in state["params"].items()}
+        payload = {"format_version": 1, "task_index": task_index, **state}
         Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
@@ -386,14 +361,12 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    cfg = ModelConfig(**payload["config"])
-    model = IncrementalModel(cfg, payload["n_classes"], np.random.default_rng(0))
-    params = model.parameters()
-    if set(params) != set(payload["params"]):
-        raise ValueError("checkpoint parameter names do not match the architecture")
-    for name, entry in payload["params"].items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != params[name].data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}")
-        params[name].data = arr
-    return model, payload["task_index"]
+    for key in ("task_index", "n_classes", "config", "params"):
+        if key not in payload:
+            raise ValueError(f"checkpoint is missing {key!r}")
+    unknown = sorted(set(payload["config"]) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"checkpoint config has unknown key {unknown[0]!r}")
+    params = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+              for name, entry in payload["params"].items()}
+    return IncrementalModel.from_state_dict(dict(payload, params=params)), payload["task_index"]

@@ -270,8 +270,7 @@ def test_criterion_5_directional_experiment(capsys):
 # 6. determinism
 
 
-def test_criterion_6_determinism(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("HFC_THREADS", "1")
+def test_criterion_6_determinism(capsys, tmp_path):
     config = {
         "schema_version": 1,
         "dataset": {"type": "synthetic", "classes": 4, "samples_per_class": 6,

@@ -134,6 +134,29 @@ def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     assert "base_fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key, value, path", [
+    ("model", "heads", 0, "$.model.heads"),
+    ("model", "patch_side", 0, "$.model.patch_side"),
+    ("model", "embed_dim", 0, "$.model.embed_dim"),
+    ("model", "mlp_ratio", 0, "$.model.mlp_ratio"),
+    ("dataset", "channels", 0, "$.dataset.channels"),
+    ("model", "msa_blocks", -1, "$.model.msa_blocks"),
+    ("trainer", "memory_capacity", -1, "$.trainer.memory_capacity"),
+    ("trainer", "per_class_quota", -1, "$.trainer.per_class_quota"),
+    ("trainer", "epochs_per_task", 0, "$.trainer.epochs_per_task"),
+    ("trainer", "alpha1", -0.5, "$.trainer:"),
+    ("model", "classifier_input", "pixels", "$.model:"),
+    ("losses", "kl_direction", "sideways", "$.losses:"),
+])
+def test_train_out_of_range_field_exits_2_with_path(tmp_path, capsys, block, key, value,
+                                                    path):
+    bad = minimal_config(**{block: {key: value}})
+    code = cli.main(["train", "--config", str(write_config(tmp_path, bad)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
 def test_train_missing_cifar_files_exit_2(tmp_path, capsys):
     cfg = {
         "schema_version": 1,
@@ -200,6 +223,23 @@ def test_gradcheck_ops_pass_loose_tolerance(monkeypatch, capsys):
     assert cli.main(["gradcheck", "--tolerance", "1e-3"]) == 0
     out = capsys.readouterr().out
     assert "op.matmul" in out and "ok" in out
+
+
+def test_param_check_keeps_nan_error_of_a_later_parameter():
+    from hfclab import autodiff as ad
+
+    a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
+
+    def nan_gradient(t):
+        def backward(g):
+            t._accumulate(np.full_like(t.data, np.nan))
+
+        return ad._result(t.data.copy(), (t,), backward, "nan_gradient")
+
+    def loss_fn():
+        return ad.add(ad.sum_(a), ad.sum_(nan_gradient(b)))
+
+    assert np.isnan(GC.max_param_rel_err(loss_fn, {"a": a, "b": b}))
 
 
 def test_gradcheck_zero_tolerance_fails(monkeypatch, capsys):

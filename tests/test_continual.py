@@ -248,6 +248,18 @@ def test_later_task_loss_combines_both_terms():
     assert abs(loss.item() - expected) < 1e-12
 
 
+
+@pytest.mark.parametrize("uniform_weights, alpha2, calls", [
+    (False, 1.0, 1), (False, 0.0, 1), (True, 1.0, 1), (True, 0.0, 0)])
+def test_later_task_loss_measures_gradient_stats_at_most_once(monkeypatch, uniform_weights,
+                                                              alpha2, calls):
+    measured = []
+    real = LS.gradient_stats
+    monkeypatch.setattr(LS, "gradient_stats", lambda batch: measured.append(1) or real(batch))
+    cfg = C.TrainerConfig(alpha2=alpha2, uniform_weights=uniform_weights)
+    C._batch_loss(make_batch(with_old=True), task_index=1, config=cfg)
+    assert len(measured) == calls
+
 # ---------------------------------------------------------------------------
 # full stream runs (tiny configs)
 

@@ -111,16 +111,3 @@ def test_fh_rejects_empty_inputs():
         M.forgetting_heterogeneity([])
     with pytest.raises(ValueError):
         M.forgetting_heterogeneity([(np.zeros(0), np.zeros(0, dtype=int))])
-
-
-def test_threaded_prediction_matches_serial_exactly():
-    from hfclab.model import IncrementalModel, ModelConfig
-    from hfclab.seeding import stream_rng
-
-    cfg = ModelConfig(image_side=8, channels=1, patch_side=4, embed_dim=8,
-                      heads=2, msa_blocks=1, tsa_blocks=1)
-    model = IncrementalModel(cfg, 3, stream_rng(1, "init"))
-    images = np.random.default_rng(2).uniform(size=(70, 1, 8, 8))
-    serial = M.predict_probs(model, images, threads=1)
-    threaded = M.predict_probs(model, images, threads=3)
-    np.testing.assert_array_equal(serial, threaded)

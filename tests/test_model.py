@@ -1,4 +1,6 @@
 """Tests for the incremental network: embeddings, attention blocks, classifier growth."""
+import json
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,17 @@ def test_feature_cls_head_width():
     assert logits.shape == (1, 2)
 
 
+def test_feature_cls_batch_rows_match_single_image_forward():
+    cfg = ModelConfig(image_side=8, channels=1, patch_side=4, embed_dim=8, heads=2,
+                      msa_blocks=1, tsa_blocks=1, classifier_input="feature_cls")
+    model = IncrementalModel(cfg, 3, np.random.default_rng(1))
+    images = np.random.default_rng(2).uniform(size=(4, 1, 8, 8))
+    logits, features = model.forward_batch(images)
+    for i, image in enumerate(images):
+        one_logits, one_feature = model.forward(image)
+        np.testing.assert_allclose(logits.data[i], one_logits.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(features.data[i], one_feature.data[0], rtol=0, atol=1e-12)
+
 def finite_diff_over_params(loss_fn, params, step=1e-5, tol_floor=1e-8):
     """Max relative error of recorded gradients vs central differences, per parameter."""
     for p in params.values():
@@ -283,3 +296,17 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(model.forward(image)[0].data, restored.forward(image)[0].data)
     for name, tensor in model.parameters().items():
         np.testing.assert_array_equal(tensor.data, restored.parameters()[name].data)
+
+
+@pytest.mark.parametrize("key", ["task_index", "n_classes", "config", "params", "depth"])
+def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
+    path = tmp_path / "model.json"
+    make_model().save_checkpoint(path, task_index=1)
+    payload = json.loads(path.read_text())
+    if key == "depth":
+        payload["config"]["depth"] = 3
+    else:
+        del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=key):
+        load_checkpoint(path)
