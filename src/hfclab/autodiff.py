@@ -5,6 +5,15 @@ output tensor; ``backward(loss)`` topologically sorts the reachable graph and
 accumulates gradients in reverse. The graph is rebuilt from scratch on every
 forward pass (dynamic graph), so one training step owns exactly one record.
 
+An op records nothing (no parents, no closure, ``requires_grad`` False) when
+none of its inputs requires a gradient, or inside ``with no_grad():``. Frozen
+snapshots, constant-only subgraphs and inference passes therefore hold no
+intermediates; the values they compute are the same either way.
+
+``attention(q, k, v, batch, heads)`` runs every head of a multi-head block in
+one op: q, k and v are full-width row stacks, laid out per head as
+(batch, heads, rows, head_dim), with a single backward closure.
+
 ``finite_diff_check`` is the independent oracle used by the test suite and the
 ``gradcheck`` command: central differences per coordinate against the recorded
 gradient.
@@ -12,7 +21,8 @@ gradient.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,10 +88,26 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r})"
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops inside the block record no graph; the previous mode is restored on exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), op=op)
-    out._parents = tuple(parents)
-    out._backward = backward
+    out = Tensor(data, op=op)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward = backward
     return out
 
 
@@ -323,13 +349,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward, "matmul")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, batch: int) -> tuple[Tensor, np.ndarray]:
-    """Sample-local softmax(q kᵀ) v over `batch` consecutive row blocks.
+def attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
+              heads: int = 1) -> tuple[Tensor, np.ndarray]:
+    """Sample-local softmax(q kᵀ) v per head over `batch` consecutive row blocks.
 
-    q is (batch*m, d); k and v are (batch*n, d). Scores are formed per sample
+    q is (batch*m, d); k is (batch*n, d) and v (batch*n, dv). Head h owns
+    column block h of width d/heads (dv/heads for v), so each array is copied
+    to a contiguous (batch, heads, rows, width) layout: BLAS then sees the
+    per-head matrices exactly as separate single-head calls would, which keeps
+    the results bit-identical to them. Scores are formed per sample and head
     (no cross-sample attention), softmaxed with max-subtraction along the key
-    axis, and applied to v. Returns the output rows plus the detached
-    (batch, m, n) probability tensor for diagnostics.
+    axis, and applied to v; head outputs come back side by side as
+    (batch*m, dv). Also returns the detached probabilities, sample-major as
+    (batch*heads, m, n): entry b*heads + h is sample b, head h.
     """
     bm, d = q.data.shape
     bn, dk = k.data.shape
@@ -337,29 +369,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int) -> tuple[Tensor, np.n
         raise ShapeError(f"attention: shapes {q.shape}/{k.shape}/{v.shape} do not agree")
     if bm % batch or bn % batch:
         raise ShapeError(f"attention: rows {bm}/{bn} not divisible by batch {batch}")
+    dv = v.data.shape[1]
+    if d % heads or dv % heads:
+        raise ShapeError(f"attention: widths {d}/{dv} not divisible by heads {heads}")
     m, n = bm // batch, bn // batch
-    q3 = q.data.reshape(batch, m, d)
-    k3 = k.data.reshape(batch, n, d)
-    v3 = v.data.reshape(batch, n, -1)
-    scores = q3 @ k3.transpose(0, 2, 1)
+
+    def per_head(x: np.ndarray, rows: int) -> np.ndarray:
+        return np.ascontiguousarray(x.reshape(batch, rows, heads, -1).transpose(0, 2, 1, 3))
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(batch * x.shape[2], -1)
+
+    q4, k4, v4 = per_head(q.data, m), per_head(k.data, n), per_head(v.data, n)
+    scores = q4 @ k4.transpose(0, 1, 3, 2)
     if not np.all(np.isfinite(scores)):
         raise ValueError("attention: scores contain non-finite values")
-    scores -= scores.max(axis=2, keepdims=True)
+    scores -= scores.max(axis=3, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=2, keepdims=True)
-    probs = scores  # (batch, m, n), rows sum to 1
-    out_data = (probs @ v3).reshape(bm, v3.shape[2])
+    scores /= scores.sum(axis=3, keepdims=True)
+    probs = scores  # (batch, heads, m, n), rows sum to 1
 
     def backward(g: np.ndarray) -> None:
-        g3 = g.reshape(batch, m, -1)
-        dv = probs.transpose(0, 2, 1) @ g3
-        da = g3 @ v3.transpose(0, 2, 1)
-        ds = probs * (da - (da * probs).sum(axis=2, keepdims=True))
-        q._accumulate((ds @ k3).reshape(bm, d))
-        k._accumulate((ds.transpose(0, 2, 1) @ q3).reshape(bn, d))
-        v._accumulate(dv.reshape(v.shape))
+        g4 = per_head(g, m)
+        da = g4 @ v4.transpose(0, 1, 3, 2)
+        ds = probs * (da - (da * probs).sum(axis=3, keepdims=True))
+        q._accumulate(merge(ds @ k4))
+        k._accumulate(merge(ds.transpose(0, 1, 3, 2) @ q4))
+        v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ g4))
 
-    return _result(out_data, (q, k, v), backward, "attention"), probs
+    out = _result(merge(probs @ v4), (q, k, v), backward, "attention")
+    return out, probs.reshape(batch * heads, m, n)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

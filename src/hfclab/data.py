@@ -211,6 +211,8 @@ def load_dataset_binary(path: str | Path) -> Dataset:
     raw = Path(path).read_bytes()
     if raw[:4] != DATASET_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 24:
+        raise ValueError(f"{path}: header cut off at byte offset {len(raw)} (needs 24 bytes)")
     version, n, n_classes, side, channels = struct.unpack("<IIIII", raw[4:24])
     if version != DATASET_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")

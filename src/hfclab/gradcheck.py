@@ -70,16 +70,21 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
                                                    ln_sel)),
          rng.normal(size=(2, 4))),
         ("op.attention", _attention_case(rng), rng.normal(size=(4, 3))),
+        # own generator, so the cases after it keep their inputs
+        ("op.attention_heads", _attention_case(np.random.default_rng(103), heads=2),
+         np.random.default_rng(104).normal(size=(4, 6))),
     ]
 
 
-def _attention_case(rng: np.random.Generator) -> Callable:
-    k0 = ad.constant(rng.normal(size=(6, 3)))
-    v0 = ad.constant(rng.normal(size=(6, 3)))
-    sel = ad.constant(rng.normal(size=(4, 3)))
+def _attention_case(rng: np.random.Generator, heads: int = 1) -> Callable:
+    """Gradient wrt q of batch-2 attention with head width 3."""
+    width = 3 * heads
+    k0 = ad.constant(rng.normal(size=(6, width)))
+    v0 = ad.constant(rng.normal(size=(6, width)))
+    sel = ad.constant(rng.normal(size=(4, width)))
 
     def f(t):
-        out, _ = ad.attention(t, k0, v0, batch=2)
+        out, _ = ad.attention(t, k0, v0, batch=2, heads=heads)
         return ad.sum_(ad.mul(out, sel))
 
     return f

@@ -24,14 +24,15 @@ EVAL_CHUNK = 32
 
 
 def predict_outputs(model, images: np.ndarray, chunk: int = EVAL_CHUNK) -> tuple[np.ndarray, np.ndarray]:
-    """Detached (softmax rows, feature rows) for a stack of images."""
+    """(softmax rows, feature rows) for a stack of images; records no graph."""
     from . import autodiff as ad
 
     probs, feats = [], []
-    for start in range(0, len(images), chunk):
-        logits, features = model.forward_batch(images[start:start + chunk])
-        probs.append(ad.softmax(logits, axis=1).data)
-        feats.append(features.data)
+    with ad.no_grad():
+        for start in range(0, len(images), chunk):
+            logits, features = model.forward_batch(images[start:start + chunk])
+            probs.append(ad.softmax(logits, axis=1).data)
+            feats.append(features.data)
     return np.concatenate(probs, axis=0), np.concatenate(feats, axis=0)
 
 

@@ -6,10 +6,13 @@ task-shared embedding) feeds a growable linear classifier. The aggregation
 head cross-attends a single query embedding onto the patch sequence, so the
 extracted feature has a fixed width regardless of patch count.
 
-Batches are processed as one row-stacked matrix per layer; a fused attention
-primitive keeps the quadratic score computation sample-local. Parameter
-tensors are float64 and live on the autodiff graph; frozen snapshots hold
-detached copies only.
+Batches are processed as one row-stacked matrix per layer, and the graph a
+forward pass records does not grow with batch size: the class token is
+inserted by reshapes and one concat, and each block makes one multi-head
+``ad.attention(..., heads)`` call, which keeps the quadratic score
+computation sample-local. Parameter tensors are float64 and live on the
+autodiff graph; frozen snapshots hold detached copies only. ``predict`` runs
+under ``ad.no_grad()`` and records no graph.
 """
 from __future__ import annotations
 
@@ -113,28 +116,22 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int,
             heads: int) -> tuple[Tensor, list[np.ndarray]]:
     """Multi-head sample-local attention over `batch` stacked samples.
 
-    q, k and v are full-width projections, split into `heads` column blocks;
-    q is scaled by 1/sqrt(head width). Returns the re-concatenated head
-    outputs and each head's attention probabilities for the first sample.
+    q, k and v are full-width projections; head h reads column block h. q is
+    scaled by 1/sqrt(head width). Returns the side-by-side head outputs and
+    each head's attention probabilities for the first sample.
     """
-    head_dim = q.shape[1] // heads
-    sizes = [head_dim] * heads
-    q = ad.scale(q, 1.0 / math.sqrt(head_dim))
-    outs, first = [], []
-    for qh, kh, vh in zip(ad.split(q, sizes, axis=1), ad.split(k, sizes, axis=1),
-                          ad.split(v, sizes, axis=1)):
-        out, probs = ad.attention(qh, kh, vh, batch)
-        outs.append(out)
-        first.append(probs[0])
-    return ad.concat(outs, axis=1), first
+    q = ad.scale(q, 1.0 / math.sqrt(q.shape[1] // heads))
+    out, probs = ad.attention(q, k, v, batch, heads)
+    return out, list(probs[:heads])
 
 
 class SelfAttentionBlock:
     """Pre-normed multi-head self-attention with a residual MLP tail.
 
     The query/key/value projections are stored as full width-by-width
-    matrices and split per head along columns at forward time. The first
-    sample's attention probabilities of the last call are kept for diagnostics.
+    matrices; head h reads column block h inside one attention call. The first
+    sample's per-head attention probabilities of the last call are kept for
+    diagnostics.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -249,9 +246,11 @@ class IncrementalModel:
         patches = ad.constant(np.concatenate(
             [image_to_patches(img, self.cfg.patch_side) for img in images]))
         z_e = ad.add(ad.matmul(patches, self.patch_proj), self.patch_bias)
-        chunks = ad.split(z_e, [n] * b, axis=0)
-        stacked = ad.concat(
-            [part for chunk in chunks for part in (chunk, self.cls_token)], axis=0)
+        # one row per sample: its n patch rows, then its class token
+        d = self.cfg.embed_dim
+        per_sample = ad.concat([ad.reshape(z_e, (b, n * d)),
+                                ad.reshape(ad.tile_rows(self.cls_token, b), (b, d))], axis=1)
+        stacked = ad.reshape(per_sample, (b * (n + 1), d))
         return ad.add(stacked, ad.tile_rows(self.pos_token, b))
 
     def forward(self, image: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -268,10 +267,10 @@ class IncrementalModel:
         for block in self.tsa:
             e = block.forward_rows(e, z, b)
         if self.cfg.classifier_input == "feature_cls":
-            rows = self.cfg.n_patches + 1
-            parts = ad.split(z, [rows] * b, axis=0)
-            cls_rows = [ad.split(part, [rows - 1, 1], axis=0)[1] for part in parts]
-            head_in = ad.concat([e, ad.concat(cls_rows, axis=0)], axis=1)
+            d = self.cfg.embed_dim
+            per_sample = ad.reshape(z, (b, (self.cfg.n_patches + 1) * d))
+            cls_rows = ad.split(per_sample, [self.cfg.n_patches * d, d], axis=1)[1]
+            head_in = ad.concat([e, cls_rows], axis=1)
         else:
             head_in = e
         # broadcast-multiply instead of a GEMM: each logit reduces over its own
@@ -283,9 +282,10 @@ class IncrementalModel:
         return logits, e
 
     def predict(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Detached (softmax probabilities, feature) for one image."""
-        logits, feature = self.forward(image)
-        return ad.softmax(logits, axis=1).data[0], feature.data[0]
+        """(softmax probabilities, feature) for one image; records no graph."""
+        with ad.no_grad():
+            logits, feature = self.forward(image)
+            return ad.softmax(logits, axis=1).data[0], feature.data[0]
 
     # -- parameters ----------------------------------------------------------
 
@@ -359,6 +359,8 @@ class IncrementalModel:
 
 def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
     for key in ("task_index", "n_classes", "config", "params"):
@@ -367,6 +369,10 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
     unknown = sorted(set(payload["config"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"checkpoint config has unknown key {unknown[0]!r}")
-    params = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-              for name, entry in payload["params"].items()}
+    params = {}
+    for name, entry in payload["params"].items():
+        for key in ("shape", "data"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"checkpoint params entry {name!r} is missing {key!r}")
+        params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
     return IncrementalModel.from_state_dict(dict(payload, params=params)), payload["task_index"]

@@ -283,6 +283,86 @@ def test_attention_rejects_bad_shapes():
     with pytest.raises(ad.ShapeError):
         ad.attention(Tensor(np.zeros((5, 3))), Tensor(np.zeros((6, 3))),
                      Tensor(np.zeros((6, 3))), batch=2)
+    with pytest.raises(ad.ShapeError):
+        ad.attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((6, 6))),
+                     Tensor(np.zeros((6, 6))), batch=2, heads=4)
+
+
+def per_head_attention(q, k, v, batch, heads):
+    """Reference path: split columns per head, single-head attention, concat."""
+    sizes = [q.shape[1] // heads] * heads
+    outs, probs = [], []
+    for qh, kh, vh in zip(ad.split(q, sizes, axis=1), ad.split(k, sizes, axis=1),
+                          ad.split(v, sizes, axis=1)):
+        out, p = ad.attention(qh, kh, vh, batch)
+        outs.append(out)
+        probs.append(p)
+    return ad.concat(outs, axis=1), np.stack(probs, axis=1)
+
+
+@pytest.mark.parametrize("m,n", [(4, 5), (1, 6)])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_multihead_attention_is_bit_identical_to_per_head_path(heads, m, n):
+    rng = rng_for(f"multihead{heads}{m}")
+    batch, d = 3, 8
+    arrays = [rng.normal(size=(batch * rows, d)) for rows in (m, n, n)]
+    sel = ad.constant(rng.normal(size=(batch * m, d)))
+
+    def run(attend):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out, probs = attend(q, k, v)
+        ad.backward(ad.sum_(ad.mul(out, sel)))
+        return out.data, probs, [t.grad for t in (q, k, v)]
+
+    fused = run(lambda q, k, v: ad.attention(q, k, v, batch, heads))
+    reference = run(lambda q, k, v: per_head_attention(q, k, v, batch, heads))
+    assert fused[1].shape == (batch * heads, m, n)
+    assert np.array_equal(fused[0], reference[0])
+    assert np.array_equal(fused[1], reference[1].reshape(batch * heads, m, n))
+    for got, want in zip(fused[2], reference[2]):
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# graph recording
+
+
+def assert_unrecorded(t):
+    assert t._parents == () and t._backward is None and t.requires_grad is False
+
+
+def test_no_grad_records_nothing_and_keeps_values():
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    with ad.no_grad():
+        y = ad.exp(ad.mul(x, x))
+        out, _ = ad.attention(ad.reshape(x, (1, 2)), ad.reshape(x, (1, 2)),
+                              ad.reshape(x, (1, 2)), batch=1)
+    assert_unrecorded(y)
+    assert_unrecorded(out)
+    np.testing.assert_array_equal(y.data, np.exp(x.data * x.data))
+    assert ad.exp(x).requires_grad
+
+
+def test_no_grad_restores_mode_after_nesting_and_exceptions():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert_unrecorded(ad.exp(x))
+    assert ad.exp(x)._parents == (x,)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    recorded = ad.exp(x)
+    assert recorded.requires_grad and recorded._backward is not None
+
+
+def test_op_on_inputs_without_grad_records_no_parents():
+    a = ad.constant(np.ones(3))
+    b = Tensor(np.arange(3.0))
+    assert_unrecorded(ad.add(a, b))
+    assert_unrecorded(ad.sum_(ad.mul(a, b)))
+    assert ad.add(a, ad.parameter(np.ones(3)))._parents[0] is a
 
 
 def test_matmul_gradient_wrt_each_side():

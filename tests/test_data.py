@@ -211,3 +211,10 @@ def test_split_rejects_indivisible():
         D.split_tasks(10, 4, 0.5, seed=0)
     with pytest.raises(ValueError):
         D.split_tasks(10, 2, 0.3, seed=0)
+
+
+def test_dataset_binary_rejects_cut_off_header_with_offset(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"HFCD\x01\x00")
+    with pytest.raises(ValueError, match=r"short\.bin: header cut off at byte offset 6"):
+        D.load_dataset_binary(path)

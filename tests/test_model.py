@@ -310,3 +310,38 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=key):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["data", "shape"])
+def test_checkpoint_params_entry_missing_key_is_named(tmp_path, key):
+    path = tmp_path / "model.json"
+    make_model().save_checkpoint(path, task_index=1)
+    payload = json.loads(path.read_text())
+    del payload["params"]["cls_token"][key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"'cls_token' is missing '{key}'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_that_is_not_an_object_is_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps([1, 2, 3]))
+    with pytest.raises(ValueError, match="JSON object"):
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# graph size
+
+
+@pytest.mark.parametrize("classifier_input", ["feature", "feature_cls"])
+def test_forward_graph_does_not_grow_with_batch_size(classifier_input):
+    cfg = ModelConfig(classifier_input=classifier_input)
+    model = IncrementalModel(cfg, 4, np.random.default_rng(60))
+    images = np.random.default_rng(61).uniform(size=(16, cfg.channels, cfg.image_side,
+                                                     cfg.image_side))
+    # every tensor reachable through recorded parents, root and leaves included
+    counts = [len(ad._topo_order(ad.sum_(model.forward_batch(images[:b])[0])))
+              for b in (1, 16)]
+    assert counts[0] == counts[1]
+    assert counts[1] <= 110
