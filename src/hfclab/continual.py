@@ -314,17 +314,17 @@ def _train_one_task(task_index, space, stream, train_set, train_labels, test_set
         pool = np.concatenate([task_pool, np.array(memory.all_indices(), dtype=np.int64)])
 
     use_relation = task_index > 0 and config.alpha2 > 0
-    old_prob_cache: dict[int, np.ndarray] | None = None
+    pool_probs: np.ndarray | None = None
     if use_relation and not config.flip_augment:
         # frozen teacher, fixed pool: predictions are constant for the task
         pool_probs, _ = MT.predict_outputs(old_model, train_set.images[pool])
-        old_prob_cache = {int(i): pool_probs[j] for j, i in enumerate(pool)}
     epoch_losses: list[float] = []
     for _ in range(config.epochs_per_task):
         order = batch_rng.permutation(len(pool))
         losses_this_epoch: list[float] = []
         for start in range(0, len(pool), config.batch_size):
-            batch_idx = pool[order[start:start + config.batch_size]]
+            rows = order[start:start + config.batch_size]
+            batch_idx = pool[rows]
             images = train_set.images[batch_idx]
             labels = train_labels[batch_idx]
             if config.flip_augment:
@@ -335,8 +335,8 @@ def _train_one_task(task_index, space, stream, train_set, train_labels, test_set
             probs = ad.softmax(logits, axis=1)
             old_probs = None
             if use_relation:
-                if old_prob_cache is not None:
-                    old_probs = np.stack([old_prob_cache[int(i)] for i in batch_idx])
+                if pool_probs is not None:
+                    old_probs = pool_probs[rows]
                 else:
                     old_probs = np.stack([old_model.predict(img)[0] for img in images])
             batch = LS.BatchView(probs, labels, class_to_task, k_old, k_new, old_probs)

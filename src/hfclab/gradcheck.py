@@ -37,6 +37,9 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
     ln_sel = ad.constant(rng.normal(size=(2, 4)))
     ln_gain = ad.constant(np.ones(4))
     ln_bias = ad.constant(np.zeros(4))
+    # cases added later draw from their own generators, so the others keep their inputs
+    own = np.random.default_rng
+    tile_sel = ad.constant(own(106).normal(size=(6, 3)))
     return [
         ("op.add", lambda t: ad.sum_(ad.mul(ad.add(t, add_sel), t)),
          rng.normal(size=(3, 2))),
@@ -45,6 +48,8 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
                                             ad.add_const(ad.mul(t, t), 1.0))),
          rng.normal(size=(2, 2))),
         ("op.scale", lambda t: ad.sum_(ad.scale(ad.mul(t, t), -1.5)), rng.normal(size=4)),
+        ("op.add_const", lambda t: ad.sum_(ad.mul(ad.add_const(t, 0.7), t)),
+         own(105).normal(size=(3, 2))),
         ("op.log", lambda t: ad.sum_(ad.log(ad.add_const(ad.mul(t, t), 0.5))),
          rng.normal(size=5)),
         ("op.exp", lambda t: ad.sum_(ad.exp(t)), rng.normal(size=4)),
@@ -61,6 +66,8 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
         ("op.reshape", lambda t: ad.sum_(ad.matmul(ad.reshape(t, (2, 3)),
                                                    ad.reshape(t, (3, 2)))),
          rng.normal(size=6)),
+        ("op.tile_rows", lambda t: ad.sum_(ad.mul(ad.tile_rows(t, 3), tile_sel)),
+         own(107).normal(size=(2, 3))),
         ("op.matmul", lambda t: ad.sum_(ad.matmul(t, ad.mul(t, t))), rng.normal(size=(3, 3))),
         ("op.sum", lambda t: ad.sum_(ad.exp(ad.sum_(t, axis=0))), rng.normal(size=(3, 2))),
         ("op.mean", lambda t: ad.mean(ad.mul(t, t)), rng.normal(size=(3, 4))),
@@ -70,9 +77,7 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
                                                    ln_sel)),
          rng.normal(size=(2, 4))),
         ("op.attention", _attention_case(rng), rng.normal(size=(4, 3))),
-        # own generator, so the cases after it keep their inputs
-        ("op.attention_heads", _attention_case(np.random.default_rng(103), heads=2),
-         np.random.default_rng(104).normal(size=(4, 6))),
+        ("op.attention_heads", _attention_case(own(103), heads=2), own(104).normal(size=(4, 6))),
     ]
 
 

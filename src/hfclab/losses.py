@@ -1,9 +1,10 @@
 """Training objectives and the gradient statistics that reweight them.
 
 The per-sample statistic is the classifier-gradient magnitude for the true
-class, ``p_true - 1``; batches aggregate it into per-task and per-class
-sharpened means. Those means reweight cross-entropy (compensation loss) and
-prototype distillation (relation loss). By default the weights are detached
+class, ``p_true - 1``. One rule turns it into weights: a group's sharpened
+mean over its task's sharpened mean. The groups are samples for the
+reweighted cross-entropy (compensation loss) and classes for prototype
+distillation (relation loss). By default the weights are detached
 measurements: they scale the losses but receive no gradient.
 """
 from __future__ import annotations
@@ -134,70 +135,74 @@ def gradient_stats(batch: BatchView) -> GradientStats:
 
 
 # ---------------------------------------------------------------------------
+# the weighting rule shared by both losses
+
+
+def _true_class_prob(batch: BatchView) -> Tensor:
+    return ad.sum_(ad.mul(batch.probs, ad.constant(batch.onehot())), axis=1)
+
+
+def _sharpened_tensor(batch: BatchView) -> Tensor:
+    """Differentiable per-sample sharpened statistic (|g| = 1 - p_true)."""
+    abs_gamma = ad.add_const(ad.scale(_true_class_prob(batch), -1.0), 1.0)
+    powered = ad.power(abs_gamma, sharpen_exponent(batch.k_old, batch.k_new))
+    return ad.log(ad.add_const(powered, 1.0))
+
+
+def _group_means(groups: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(len(keys), b) averaging matrix: row r averages the samples whose group is keys[r]."""
+    members = (groups[None, :] == keys[:, None]).astype(np.float64)
+    return members / members.sum(axis=1, keepdims=True)
+
+
+def _balanced_weights(batch: BatchView, stats: GradientStats, groups: np.ndarray,
+                      stop_gradient: bool = True) -> Tensor:
+    """One weight per distinct group, in ascending order: the group's sharpened
+    mean over its task's sharpened mean, or 1 where that task mean is 0.
+
+    Detached weights are computed from the statistic in ``stats``;
+    differentiable ones from the live predictions.
+    """
+    if stop_gradient:
+        sharp = ad.constant(sharpened_stat(np.abs(stats.per_sample), batch.k_old, batch.k_new))
+    else:
+        sharp = _sharpened_tensor(batch)
+    keys, first = np.unique(groups, return_index=True)
+    tasks = batch.sample_tasks()
+    column = ad.reshape(sharp, (batch.batch_size, 1))
+    group_mean = ad.matmul(ad.constant(_group_means(groups, keys)), column)
+    task_mean = ad.matmul(ad.constant(_group_means(tasks, tasks[first])), column)
+    zero = np.array([[stats.task_sharp_mean[int(t)] == 0.0] for t in tasks[first]])
+    if zero.any():
+        # a perfectly predicted task keeps unit weight; decided on the detached
+        # statistic because the live one clamps |g| and is never exactly 0
+        unit = ad.constant(zero.astype(np.float64))
+        keep = ad.constant((~zero).astype(np.float64))
+        weights = ad.add(ad.mul(ad.div(group_mean, ad.add(task_mean, unit)), keep), unit)
+    else:
+        weights = ad.div(group_mean, task_mean)
+    return ad.reshape(weights, (len(keys),))
+
+
+# ---------------------------------------------------------------------------
 # cross-entropy and its gradient-balanced reweighting
 
 
 def per_sample_ce(batch: BatchView) -> Tensor:
     """Vector of -log p_true, one entry per sample (clamped log)."""
-    picked = ad.sum_(ad.mul(batch.probs, ad.constant(batch.onehot())), axis=1)
-    return ad.scale(ad.log(picked), -1.0)
+    return ad.scale(ad.log(_true_class_prob(batch)), -1.0)
 
 
 def ce_loss(batch: BatchView) -> Tensor:
     return ad.mean(per_sample_ce(batch))
 
 
-def _gfc_weights(batch: BatchView, stats: GradientStats) -> np.ndarray:
-    sharp = sharpened_stat(np.abs(stats.per_sample), batch.k_old, batch.k_new)
-    weights = np.ones(batch.batch_size)
-    tasks = batch.sample_tasks()
-    for i in range(batch.batch_size):
-        denom = stats.task_sharp_mean[int(tasks[i])]
-        if denom != 0.0:
-            weights[i] = sharp[i] / denom
-    return weights
-
-
-def _sharpened_tensor(batch: BatchView) -> Tensor:
-    """Differentiable per-sample sharpened statistic (|g| = 1 - p_true)."""
-    picked = ad.sum_(ad.mul(batch.probs, ad.constant(batch.onehot())), axis=1)
-    abs_gamma = ad.add_const(ad.scale(picked, -1.0), 1.0)
-    powered = ad.power(abs_gamma, sharpen_exponent(batch.k_old, batch.k_new))
-    return ad.log(ad.add_const(powered, 1.0))
-
-
-def _group_mean_vector(values: Tensor, groups: np.ndarray) -> Tensor:
-    """Per-sample vector holding the mean of `values` over each sample's group."""
-    b = values.shape[0]
-    averaging = np.zeros((b, b))
-    for g in np.unique(groups):
-        mask = groups == g
-        averaging[np.ix_(mask, mask)] = 1.0 / mask.sum()
-    col = ad.matmul(ad.constant(averaging), ad.reshape(values, (b, 1)))
-    return ad.reshape(col, (b,))
-
-
 def gfc_loss(batch: BatchView, stats: GradientStats, stop_gradient: bool = True) -> Tensor:
     """Cross-entropy with each sample scaled by its sharpened statistic over
     its task's sharpened mean; a task whose mean is zero keeps weight 1.
     """
-    ce_vec = per_sample_ce(batch)
-    if stop_gradient:
-        weights = ad.constant(_gfc_weights(batch, stats))
-        return ad.mean(ad.mul(weights, ce_vec))
-    sharp = _sharpened_tensor(batch)
-    denom = _group_mean_vector(sharp, batch.sample_tasks())
-    zero_denoms = np.array([stats.task_sharp_mean[int(t)] == 0.0
-                            for t in batch.sample_tasks()])
-    if zero_denoms.any():
-        # perfectly predicted tasks fall back to unit weight
-        keep = ad.constant((~zero_denoms).astype(float))
-        safe_denom = ad.add(denom, ad.constant(zero_denoms.astype(float)))
-        weights = ad.add(ad.mul(ad.div(sharp, safe_denom), keep),
-                         ad.constant(zero_denoms.astype(float)))
-    else:
-        weights = ad.div(sharp, denom)
-    return ad.mean(ad.mul(weights, ce_vec))
+    weights = _balanced_weights(batch, stats, np.arange(batch.batch_size), stop_gradient)
+    return ad.mean(ad.mul(weights, per_sample_ce(batch)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,69 +224,36 @@ def relation_groundtruth(batch: BatchView, mode: str = "renormalized") -> np.nda
     return rows
 
 
-def relation_prototypes(
-    batch: BatchView, targets: np.ndarray
-) -> tuple[dict[int, Tensor], dict[int, np.ndarray]]:
-    """Mean predicted row (differentiable) and mean target row per class present."""
-    predicted: dict[int, Tensor] = {}
-    reference: dict[int, np.ndarray] = {}
-    for cls in np.unique(batch.labels):
-        mask = batch.labels == cls
-        selector = (mask.astype(float) / mask.sum()).reshape(1, -1)
-        predicted[int(cls)] = ad.matmul(ad.constant(selector), batch.probs)
-        reference[int(cls)] = targets[mask].mean(axis=0)
-    return predicted, reference
+def relation_prototypes(batch: BatchView, targets: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Mean predicted row (differentiable) and mean target row of each class
+    present: two (C, k) arrays, one row per class in ascending class order.
+    """
+    averaging = _group_means(batch.labels, np.unique(batch.labels))
+    return ad.matmul(ad.constant(averaging), batch.probs), averaging @ targets
 
 
 def kl_divergence(p: Tensor, q: np.ndarray, direction: str = "student_teacher") -> Tensor:
-    """KL between a differentiable row and a detached row, clamped at 1e-12."""
+    """KL between differentiable rows and detached rows, clamped at 1e-12; one value per row."""
     q_log = np.log(np.maximum(q, ad.LOG_CLAMP))
     if direction == "student_teacher":
         # sum p (log p - log q)
-        return ad.sum_(ad.mul(p, ad.add(ad.log(p), ad.constant(-q_log))))
+        return ad.sum_(ad.mul(p, ad.add(ad.log(p), ad.constant(-q_log))), axis=-1)
     if direction == "teacher_student":
         # sum q (log q - log p); only log p carries gradient
-        const_term = float(np.sum(q * q_log))
-        return ad.add_const(ad.scale(ad.sum_(ad.mul(ad.constant(q), ad.log(p))), -1.0),
-                            const_term)
+        cross = ad.sum_(ad.mul(ad.constant(q), ad.log(p)), axis=-1)
+        return ad.add(ad.scale(cross, -1.0), ad.constant(np.sum(q * q_log, axis=-1)))
     raise ValueError(f"unknown KL direction {direction!r}")
 
 
-def grd_loss(
-    batch: BatchView,
-    stats: GradientStats,
-    prototypes: dict[int, Tensor],
-    references: dict[int, np.ndarray],
-    cfg: LossConfig = LossConfig(),
-) -> Tensor:
-    """Class-prototype distillation, each class weighted by its sharpened mean
-    over its task's; absent classes contribute nothing but the normalizer
-    still counts every seen class.
+def grd_loss(batch: BatchView, stats: GradientStats, prototypes: Tensor,
+             references: np.ndarray, cfg: LossConfig = LossConfig()) -> Tensor:
+    """Class-prototype distillation, each class present weighted by its
+    sharpened mean over its task's; absent classes contribute nothing but the
+    normalizer still counts every seen class.
     """
-    terms: list[Tensor] = []
-    sharp = None if cfg.weight_stop_gradient else _sharpened_tensor(batch)
-    for cls, proto in prototypes.items():
-        task = int(batch.class_to_task[cls])
-        div = kl_divergence(proto, references[cls], cfg.kl_direction)
-        if cfg.weight_stop_gradient:
-            denom = stats.task_sharp_mean[task]
-            weight = stats.class_sharp_mean[cls] / denom if denom != 0.0 else 1.0
-            terms.append(ad.scale(div, weight))
-        else:
-            cls_mask = (batch.labels == cls).astype(float)
-            task_mask = (batch.sample_tasks() == task).astype(float)
-            cls_mean = ad.scale(ad.sum_(ad.mul(sharp, ad.constant(cls_mask))), 1.0 / cls_mask.sum())
-            task_mean_t = ad.scale(ad.sum_(ad.mul(sharp, ad.constant(task_mask))), 1.0 / task_mask.sum())
-            if stats.task_sharp_mean[task] == 0.0:
-                terms.append(div)
-            else:
-                terms.append(ad.mul(ad.div(cls_mean, task_mean_t), div))
-    if not terms:
-        return ad.constant(0.0)
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.scale(total, 1.0 / batch.n_classes)
+    weights = _balanced_weights(batch, stats, batch.labels, cfg.weight_stop_gradient)
+    divergences = kl_divergence(prototypes, references, cfg.kl_direction)
+    return ad.scale(ad.sum_(ad.mul(weights, divergences)), 1.0 / batch.n_classes)
 
 
 def objective(

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -357,22 +358,38 @@ class IncrementalModel:
         Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+_JSON_KINDS = {int: "an integer", str: "a string", dict: "an object"}
+
+
+def _expect(value, kind: type, field: str) -> None:
+    """Raise a ValueError naming `field` unless `value` is a `kind` (a bool is not an integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"checkpoint field {field!r} must be {_JSON_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+
+
 def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != 1:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    for key in ("task_index", "n_classes", "config", "params"):
+    for key, kind in (("task_index", int), ("n_classes", int), ("config", dict), ("params", dict)):
         if key not in payload:
             raise ValueError(f"checkpoint is missing {key!r}")
-    unknown = sorted(set(payload["config"]) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise ValueError(f"checkpoint config has unknown key {unknown[0]!r}")
+        _expect(payload[key], kind, key)
+    hints = get_type_hints(ModelConfig)
+    for key in sorted(payload["config"]):
+        if key not in hints:
+            raise ValueError(f"checkpoint config has unknown key {key!r}")
+        _expect(payload["config"][key], hints[key], f"config.{key}")
     params = {}
     for name, entry in payload["params"].items():
         for key in ("shape", "data"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"checkpoint params entry {name!r} is missing {key!r}")
-        params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint params entry {name!r} is malformed: {exc}") from None
     return IncrementalModel.from_state_dict(dict(payload, params=params)), payload["task_index"]

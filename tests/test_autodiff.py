@@ -4,6 +4,7 @@ Every registered op is checked against the central-difference oracle at
 random inputs; the oracle itself is validated on cases with known closed
 forms first.
 """
+import inspect
 import zlib
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hfclab import autodiff as ad
 from hfclab.autodiff import Tensor
+from hfclab.gradcheck import _op_cases
 
 
 def rng_for(name: str) -> np.random.Generator:
@@ -224,6 +226,16 @@ OP_CASES = {
 def test_op_gradient_matches_finite_differences(name):
     f, shape = OP_CASES[name]
     check_op(name, f, shape)
+
+
+def test_every_recording_op_has_a_gradcheck_case():
+    cases = {name for name, _, _ in _op_cases(np.random.default_rng(0))}
+    recording = [name for name, fn in vars(ad).items()
+                 if inspect.isfunction(fn) and not name.startswith("_")
+                 and fn.__module__ == ad.__name__ and "_result(" in inspect.getsource(fn)]
+    assert "add_const" in recording and "tile_rows" in recording
+    missing = [name for name in recording if f"op.{name.rstrip('_')}" not in cases]
+    assert not missing, f"ops without an hfclab gradcheck case: {missing}"
 
 
 def test_layer_norm_gain_bias_gradients():

@@ -205,7 +205,7 @@ def test_gfc_weights_average_one_within_each_task():
     rng = np.random.default_rng(11)
     batch = random_batch(rng, b=50)
     stats = L.gradient_stats(batch)
-    weights = L._gfc_weights(batch, stats)
+    weights = L._balanced_weights(batch, stats, np.arange(batch.batch_size)).data
     tasks = batch.sample_tasks()
     for task in np.unique(tasks):
         assert abs(weights[tasks == task].mean() - 1.0) < 1e-10
@@ -216,7 +216,7 @@ def test_gfc_two_task_example_weights_are_unit():
     rows = probs_for_abs_gradients([0.9, 0.9, 0.1], [0, 1, 2], 4)
     batch = batch_from_probs(rows, [0, 1, 2], [0, 0, 1, 1], 2, 2)
     stats = L.gradient_stats(batch)
-    weights = L._gfc_weights(batch, stats)
+    weights = L._balanced_weights(batch, stats, np.arange(3)).data
     np.testing.assert_allclose(weights, np.ones(3), atol=1e-12)
     # with every weight at 1, the loss must reduce to plain cross-entropy
     assert abs(L.gfc_loss(batch, stats).item() - L.ce_loss(batch).item()) < 1e-12
@@ -228,7 +228,8 @@ def test_gfc_zero_denominator_falls_back_to_unit_weight():
     rows[1, 1] = 1.0  # both perfectly predicted -> task mean is 0
     batch = batch_from_probs(rows, [0, 1], [0, 0, 1, 1], 2, 2)
     stats = L.gradient_stats(batch)
-    np.testing.assert_array_equal(L._gfc_weights(batch, stats), [1.0, 1.0])
+    np.testing.assert_array_equal(L._balanced_weights(batch, stats, np.arange(2)).data,
+                                  [1.0, 1.0])
     assert L.gfc_loss(batch, stats).item() == 0.0
 
 
@@ -333,11 +334,10 @@ def test_prototypes_average_rows_of_each_class():
     batch = batch_from_probs(rows, [0, 0, 1], [0, 1], 1, 1, old)
     targets = L.relation_groundtruth(batch)
     protos, refs = L.relation_prototypes(batch, targets)
-    np.testing.assert_allclose(protos[0].data, [[0.5, 0.5]], atol=1e-15)
-    np.testing.assert_allclose(protos[1].data, [[0.1, 0.9]], atol=1e-15)
-    for cls in protos:
-        assert abs(protos[cls].data.sum() - 1.0) < 1e-9
-        assert abs(refs[cls].sum() - 1.0) < 1e-9
+    # one row per class present, in ascending class order
+    np.testing.assert_allclose(protos.data, [[0.5, 0.5], [0.1, 0.9]], atol=1e-15)
+    np.testing.assert_allclose(protos.data.sum(axis=1), [1.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(refs.sum(axis=1), [1.0, 1.0], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +366,7 @@ def test_grd_zero_when_prototypes_match_targets():
     stats = L.gradient_stats(batch)
     targets = L.relation_groundtruth(batch)
     protos, refs = L.relation_prototypes(batch, targets)
-    identical = {cls: Tensor(refs[cls].reshape(1, -1)) for cls in protos}
-    assert abs(L.grd_loss(batch, stats, identical, refs).item()) < 1e-12
+    assert abs(L.grd_loss(batch, stats, Tensor(refs), refs).item()) < 1e-12
 
 
 def test_grd_single_class_weight_is_one():
@@ -378,7 +377,7 @@ def test_grd_single_class_weight_is_one():
     targets = L.relation_groundtruth(batch)
     protos, refs = L.relation_prototypes(batch, targets)
     loss = L.grd_loss(batch, stats, protos, refs)
-    expected = L.kl_divergence(protos[2], refs[2]).item() / 3.0
+    expected = L.kl_divergence(protos, refs).item() / 3.0
     assert abs(loss.item() - expected) < 1e-12
 
 
@@ -434,6 +433,78 @@ def test_grd_differentiable_weights_gradient_consistent():
         return L.grd_loss(batch, stats, protos, refs, cfg)
 
     assert ad.finite_diff_check(f, logits0) < 1e-5
+
+
+def many_class_batch(seed, b=40, k_old=6, k_new=5):
+    """A batch of 11 seen classes over three tasks in which 8 or more are present."""
+    rng = np.random.default_rng(seed)
+    width = k_old + k_new
+    logits = rng.normal(scale=1.5, size=(b, width))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    labels = rng.integers(0, width, size=b)
+    assert len(np.unique(labels)) >= 8
+    o = rng.uniform(0.05, 1.0, size=(b, k_old))
+    return batch_from_probs(e / e.sum(axis=1, keepdims=True), labels,
+                            [0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 2], k_old, k_new,
+                            o / o.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("relation_target", ["renormalized", "literal"])
+@pytest.mark.parametrize("kl_direction", ["student_teacher", "teacher_student"])
+@pytest.mark.parametrize("stop_gradient", [True, False])
+def test_grd_matches_bruteforce_transcription(stop_gradient, kl_direction, relation_target):
+    batch = many_class_batch(29)
+    cfg = L.LossConfig(relation_target, kl_direction, stop_gradient)
+    stats = L.gradient_stats(batch)
+    targets = L.relation_groundtruth(batch, relation_target)
+    protos, refs = L.relation_prototypes(batch, targets)
+
+    # independent scalar transcription working purely on the raw arrays
+    p = batch.probs.data
+    labels = batch.labels
+    tasks = batch.class_to_task[labels]
+    k_old, width = batch.k_old, batch.k_old + batch.k_new
+    old = batch.old_probs
+    exponent = k_old / width
+    sharp = [math.log(abs(p[i, labels[i]] - 1.0) ** exponent + 1.0) for i in range(len(labels))]
+    expected = 0.0
+    for cls in sorted(set(labels.tolist())):
+        members = [i for i in range(len(labels)) if labels[i] == cls]
+        task_members = [i for i in range(len(labels)) if tasks[i] == tasks[members[0]]]
+        cls_mean = sum(sharp[i] for i in members) / len(members)
+        task_mean = sum(sharp[i] for i in task_members) / len(task_members)
+        weight = cls_mean / task_mean if task_mean != 0 else 1.0
+        divergence = 0.0
+        for j in range(width):
+            proto = sum(p[i, j] for i in members) / len(members)
+            ref = 0.0
+            for i in members:
+                row = [old[i, c] if c < k_old else float(c == labels[i]) for c in range(width)]
+                total = sum(row) if relation_target == "renormalized" else 1.0
+                ref += row[j] / total
+            ref /= len(members)
+            log_ref = math.log(max(ref, 1e-12))
+            if kl_direction == "student_teacher":
+                divergence += proto * (math.log(max(proto, 1e-12)) - log_ref)
+            else:
+                divergence += ref * (log_ref - math.log(max(proto, 1e-12)))
+        expected += weight * divergence
+    expected /= width
+
+    loss = L.grd_loss(batch, stats, protos, refs, cfg).item()
+    assert abs(loss - expected) < 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_weight_modes_give_the_same_forward_value(seed):
+    batch = many_class_batch(seed)
+    stats = L.gradient_stats(batch)
+    protos, refs = L.relation_prototypes(batch, L.relation_groundtruth(batch))
+    gfc = [L.gfc_loss(batch, stats, stop).item() for stop in (True, False)]
+    grd = [L.grd_loss(batch, stats, protos, refs, L.LossConfig(weight_stop_gradient=stop)).item()
+           for stop in (True, False)]
+    assert gfc[0] == gfc[1]
+    assert grd[0] == grd[1]
 
 
 # ---------------------------------------------------------------------------

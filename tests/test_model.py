@@ -312,6 +312,28 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("path, value, named", [
+    pytest.param(("params",), [], "'params'", id="params-list"),
+    pytest.param(("config",), [], "'config'", id="config-list"),
+    pytest.param(("config", "embed_dim"), "8", "'config.embed_dim'", id="embed_dim-string"),
+    pytest.param(("n_classes",), "3", "'n_classes'", id="n_classes-string"),
+    pytest.param(("task_index",), "1", "'task_index'", id="task_index-string"),
+    pytest.param(("task_index",), True, "'task_index'", id="task_index-bool"),
+    pytest.param(("params", "cls_token", "shape"), "x", "'cls_token'", id="shape-string"),
+])
+def test_checkpoint_wrongly_typed_field_is_named(tmp_path, path, value, named):
+    file = tmp_path / "model.json"
+    make_model().save_checkpoint(file, task_index=1)
+    payload = json.loads(file.read_text())
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    file.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=named):
+        load_checkpoint(file)
+
+
 @pytest.mark.parametrize("key", ["data", "shape"])
 def test_checkpoint_params_entry_missing_key_is_named(tmp_path, key):
     path = tmp_path / "model.json"
