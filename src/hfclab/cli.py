@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,14 +24,12 @@ def build_datasets(cfg: RunConfig, master_seed: int) -> tuple[D.Dataset, D.Datas
     if cfg.dataset_type == "synthetic":
         s = cfg.synthetic
         seed = s.seed if s.seed is not None else stream_seed(master_seed, "dataset")
-        noise = s.class_noise if s.class_noise is not None else (0.05,) * s.classes
-        train = D.generate_synthetic(D.SyntheticSpec(
-            n_classes=s.classes, samples_per_class=s.samples_per_class, side=s.side,
-            channels=s.channels, class_noise=noise, seed=seed, split="train"))
-        test = D.generate_synthetic(D.SyntheticSpec(
-            n_classes=s.classes, samples_per_class=s.test_samples_per_class, side=s.side,
-            channels=s.channels, class_noise=noise, seed=seed, split="test"))
-        return train, test
+        spec = D.SyntheticSpec(n_classes=s.classes, samples_per_class=s.samples_per_class,
+                               side=s.side, channels=s.channels,
+                               class_noise=s.class_noise or (), seed=seed)
+        test_spec = dataclasses.replace(spec, samples_per_class=s.test_samples_per_class,
+                                        split="test")
+        return D.generate_synthetic(spec), D.generate_synthetic(test_spec)
     return D.load_cifar100_binary(cfg.cifar.train_path, cfg.cifar.test_path)
 
 

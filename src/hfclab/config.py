@@ -58,10 +58,6 @@ class RunConfig:
     model: ModelConfig
     trainer: TrainerConfig
 
-    @property
-    def losses(self) -> LossConfig:
-        return self.trainer.loss
-
 
 _DATASETS = {"synthetic": SyntheticBlock, "cifar100": CifarBlock}
 # fields filled in from other blocks; their own block may not set them
@@ -176,7 +172,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "dataset": {"type": cfg.dataset_type, **asdict(cfg.synthetic or cfg.cifar)},
         "stream": asdict(cfg.stream),
-        "losses": asdict(cfg.losses),
+        "losses": asdict(cfg.trainer.loss),
     }
     for name, derived in _DERIVED.items():
         block = asdict(getattr(cfg, name))

@@ -39,8 +39,6 @@ class TaskStream:
 
     class_order: list[int]
     task_sizes: list[int]
-    base_fraction: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if sum(self.task_sizes) != len(self.class_order):
@@ -234,6 +232,9 @@ class TaskRecord:
     epoch_losses: list[float]
     abs_gradients: np.ndarray
     sample_tasks: np.ndarray
+    # running values over tasks 1..task_index, filled in by run_stream
+    avg_incremental: float = float("nan")
+    fh: float = float("nan")
 
 
 def run_stream(
@@ -281,6 +282,9 @@ def run_stream(
         except Exception as exc:
             raise RuntimeError(f"task {task_index + 1} failed: {exc}") from exc
         records.append(record)
+        record.avg_incremental = MT.average_incremental([r.top1 for r in records])
+        record.fh = MT.forgetting_heterogeneity(
+            [(r.abs_gradients, r.sample_tasks) for r in records])
 
         new_class_features = _class_features(model, train_set, train_labels, space)
         memory.update(new_class_features, stream.n_seen(task_index))
@@ -293,13 +297,12 @@ def run_stream(
             model.expand_classifier(stream.task_sizes[task_index + 1], expand_rng)
             optimizer.rebind(model.parameters())
 
-    report = _build_report(records)
     if out_dir is not None:
         write_metrics_csv(Path(out_dir) / "metrics.csv", records)
-        write_summary_json(Path(out_dir) / "summary.json", report, records,
-                           config, master_seed, time.monotonic() - start_time,
-                           config_echo=config_echo)
-    return report
+        write_summary_json(Path(out_dir) / "summary.json", records, config, master_seed,
+                           time.monotonic() - start_time, config_echo=config_echo)
+    return MT.RunReport([r.top1 for r in records], records[-1].avg_incremental,
+                        records[-1].fh)
 
 
 def _train_one_task(task_index, space, stream, train_set, train_labels, test_set,
@@ -382,44 +385,29 @@ def _class_features(model, train_set, train_labels, space) -> dict[int, tuple[np
     return out
 
 
-def _build_report(records: list[TaskRecord]) -> MT.RunReport:
-    top1s = [r.top1 for r in records]
-    fh = MT.forgetting_heterogeneity([(r.abs_gradients, r.sample_tasks) for r in records])
-    return MT.RunReport(
-        task_top1=top1s,
-        avg_incremental=MT.average_incremental(top1s),
-        fh=fh,
-        per_class_accuracy=[r.per_class_accuracy for r in records],
-    )
-
-
 # ---------------------------------------------------------------------------
 # report files (LF endings, '.' decimals, repr floats for bit-stable output)
 
 
 def write_metrics_csv(path: Path, records: list[TaskRecord]) -> None:
-    running_top1: list[float] = []
     with open(path, "w", newline="") as fh_out:
         writer = csv.writer(fh_out, lineterminator="\n")
         writer.writerow(["task_index", "seen_classes", "top1_acc",
                          "avg_incremental_acc", "fh", "epoch_losses"])
-        for i, rec in enumerate(records):
-            running_top1.append(rec.top1)
-            running_fh = MT.forgetting_heterogeneity(
-                [(r.abs_gradients, r.sample_tasks) for r in records[: i + 1]])
+        for rec in records:
             writer.writerow([
                 rec.task_index,
                 rec.seen_classes,
                 repr(rec.top1),
-                repr(MT.average_incremental(running_top1)),
-                repr(running_fh),
+                repr(rec.avg_incremental),
+                repr(rec.fh),
                 ";".join(repr(v) for v in rec.epoch_losses),
             ])
 
 
-def write_summary_json(path: Path, report: MT.RunReport, records: list[TaskRecord],
-                       config: TrainerConfig, master_seed: int,
-                       wall_clock: float, config_echo: dict | None = None) -> None:
+def write_summary_json(path: Path, records: list[TaskRecord], config: TrainerConfig,
+                       master_seed: int, wall_clock: float,
+                       config_echo: dict | None = None) -> None:
     payload = {
         "seed": master_seed,
         "config": config_echo if config_echo is not None else asdict(config),
@@ -433,8 +421,8 @@ def write_summary_json(path: Path, report: MT.RunReport, records: list[TaskRecor
             }
             for r in records
         ],
-        "avg_incremental_acc": report.avg_incremental,
-        "fh": report.fh,
+        "avg_incremental_acc": records[-1].avg_incremental,
+        "fh": records[-1].fh,
         "wall_clock_seconds": wall_clock,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

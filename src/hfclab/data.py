@@ -253,8 +253,7 @@ def split_tasks(n_classes: int, tasks: int, base_fraction: float, seed: int) -> 
         sizes = [rest] + [rest // tasks] * tasks
     else:
         raise ValueError(f"base_fraction must be 0.0 or 0.5, got {base_fraction}")
-    return TaskStream(class_order=order, task_sizes=sizes,
-                      base_fraction=base_fraction, seed=seed)
+    return TaskStream(class_order=order, task_sizes=sizes)
 
 
 def nearest_template_accuracy(dataset: Dataset, spec: SyntheticSpec) -> float:

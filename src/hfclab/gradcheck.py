@@ -103,10 +103,11 @@ def _block_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarr
     z_fixed = ad.constant(rng.normal(size=(5, 8)))
     e_fixed = ad.constant(rng.normal(size=(1, 8)))
     return [
-        ("block.msa", lambda t: ad.sum_(ad.mul(msa(t), sel_seq)), rng.normal(size=(3, 8))),
-        ("block.tsa_query", lambda t: ad.sum_(ad.mul(tsa(t, z_fixed), sel_row)),
+        ("block.msa", lambda t: ad.sum_(ad.mul(msa.forward_rows(t, 1), sel_seq)),
+         rng.normal(size=(3, 8))),
+        ("block.tsa_query", lambda t: ad.sum_(ad.mul(tsa.forward_rows(t, z_fixed, 1), sel_row)),
          rng.normal(size=(1, 8))),
-        ("block.tsa_context", lambda t: ad.sum_(ad.mul(tsa(e_fixed, t), sel_row)),
+        ("block.tsa_context", lambda t: ad.sum_(ad.mul(tsa.forward_rows(e_fixed, t, 1), sel_row)),
          rng.normal(size=(5, 8))),
     ]
 
@@ -171,7 +172,7 @@ def _loss_cases() -> list[tuple[str, Callable[[], Tensor], dict[str, Tensor]]]:
         return LS.grd_loss(batch, stats0, protos, refs)
 
     def objective_fn():
-        return ad.add(gfc_fn(), grd_fn())
+        return LS.objective(fresh_batch(), stats0, 1.0, 1.0)
 
     return [
         ("loss.ce", ce_fn, params),

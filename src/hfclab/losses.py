@@ -172,15 +172,12 @@ def _balanced_weights(batch: BatchView, stats: GradientStats, groups: np.ndarray
     column = ad.reshape(sharp, (batch.batch_size, 1))
     group_mean = ad.matmul(ad.constant(_group_means(groups, keys)), column)
     task_mean = ad.matmul(ad.constant(_group_means(tasks, tasks[first])), column)
+    # a perfectly predicted task keeps unit weight; decided on the detached
+    # statistic because the live one clamps |g| and is never exactly 0
     zero = np.array([[stats.task_sharp_mean[int(t)] == 0.0] for t in tasks[first]])
-    if zero.any():
-        # a perfectly predicted task keeps unit weight; decided on the detached
-        # statistic because the live one clamps |g| and is never exactly 0
-        unit = ad.constant(zero.astype(np.float64))
-        keep = ad.constant((~zero).astype(np.float64))
-        weights = ad.add(ad.mul(ad.div(group_mean, ad.add(task_mean, unit)), keep), unit)
-    else:
-        weights = ad.div(group_mean, task_mean)
+    unit = ad.constant(zero.astype(np.float64))
+    keep = ad.constant((~zero).astype(np.float64))
+    weights = ad.add(ad.mul(ad.div(group_mean, ad.add(task_mean, unit)), keep), unit)
     return ad.reshape(weights, (len(keys),))
 
 

@@ -11,26 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+
 
 @dataclass
 class RunReport:
     task_top1: list[float]
     avg_incremental: float
     fh: float
-    per_class_accuracy: list[dict[int, float]]
 
 
 EVAL_CHUNK = 32
 
 
-def predict_outputs(model, images: np.ndarray, chunk: int = EVAL_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+def predict_outputs(model, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(softmax rows, feature rows) for a stack of images; records no graph."""
-    from . import autodiff as ad
-
     probs, feats = [], []
     with ad.no_grad():
-        for start in range(0, len(images), chunk):
-            logits, features = model.forward_batch(images[start:start + chunk])
+        for start in range(0, len(images), EVAL_CHUNK):
+            logits, features = model.forward_batch(images[start:start + EVAL_CHUNK])
             probs.append(ad.softmax(logits, axis=1).data)
             feats.append(features.data)
     return np.concatenate(probs, axis=0), np.concatenate(feats, axis=0)

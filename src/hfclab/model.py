@@ -43,6 +43,9 @@ class ModelConfig:
     classifier_input: str = "feature"  # "feature" | "feature_cls"
 
     def __post_init__(self):
+        for name in ("heads", "patch_side"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
@@ -147,9 +150,6 @@ class SelfAttentionBlock:
         self.mlp = Mlp(d, cfg.mlp_ratio, rng)
         self.last_attention: list[np.ndarray] = []
 
-    def __call__(self, z: Tensor) -> Tensor:
-        return self.forward_rows(z, batch=1)
-
     def forward_rows(self, z: Tensor, batch: int) -> Tensor:
         """z holds `batch` samples stacked as consecutive row blocks."""
         zn = ad.layer_norm(z, self.norm1_gain, self.norm1_bias)
@@ -180,9 +180,6 @@ class AggregationBlock:
         self.norm2_gain, self.norm2_bias = _ones(d), _zeros(d)
         self.mlp = Mlp(d, cfg.mlp_ratio, rng)
         self.last_attention: list[np.ndarray] = []
-
-    def __call__(self, e: Tensor, z: Tensor) -> Tensor:
-        return self.forward_rows(e, z, batch=1)
 
     def forward_rows(self, e: Tensor, z: Tensor, batch: int) -> Tensor:
         """e holds one query row per sample; z the stacked patch rows."""
@@ -234,9 +231,6 @@ class IncrementalModel:
 
     # -- forward ------------------------------------------------------------
 
-    def embed(self, image: np.ndarray) -> Tensor:
-        return self._embed_batch(image[np.newaxis])
-
     def _embed_batch(self, images: np.ndarray) -> Tensor:
         """(b, C, S, S) -> (b*(N+1), D) with each sample's class token last."""
         expected = (self.cfg.channels, self.cfg.image_side, self.cfg.image_side)
@@ -253,10 +247,6 @@ class IncrementalModel:
                                 ad.reshape(ad.tile_rows(self.cls_token, b), (b, d))], axis=1)
         stacked = ad.reshape(per_sample, (b * (n + 1), d))
         return ad.add(stacked, ad.tile_rows(self.pos_token, b))
-
-    def forward(self, image: np.ndarray) -> tuple[Tensor, Tensor]:
-        """One image -> (logits row of width n_classes, aggregated feature row)."""
-        return self.forward_batch(image[np.newaxis])
 
     def forward_batch(self, images: np.ndarray) -> tuple[Tensor, Tensor]:
         """(b, C, S, S) -> (b, n_classes) logits and (b, embed_dim) features."""
@@ -285,7 +275,7 @@ class IncrementalModel:
     def predict(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(softmax probabilities, feature) for one image; records no graph."""
         with ad.no_grad():
-            logits, feature = self.forward(image)
+            logits, feature = self.forward_batch(image[np.newaxis])
             return ad.softmax(logits, axis=1).data[0], feature.data[0]
 
     # -- parameters ----------------------------------------------------------

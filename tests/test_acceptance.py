@@ -202,9 +202,9 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
     # classifier expansion preserves old logits exactly
     probe = IncrementalModel(model_cfg, 3, stream_rng(9, "init"))
     image = train.images[0]
-    before = probe.forward(image)[0].data[0].copy()
+    before = probe.forward_batch(image[np.newaxis])[0].data[0].copy()
     probe.expand_classifier(4, stream_rng(9, "expand"))
-    after = probe.forward(image)[0].data[0]
+    after = probe.forward_batch(image[np.newaxis])[0].data[0]
     assert np.array_equal(before, after[:3])
 
     # task-shared embedding hands off unchanged through snapshot + expansion

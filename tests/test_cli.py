@@ -40,7 +40,7 @@ def test_parse_minimal_config():
     assert cfg.dataset_type == "synthetic"
     assert cfg.stream.tasks == 2
     assert cfg.trainer.epochs_per_task == 1
-    assert cfg.losses.relation_target == "renormalized"
+    assert cfg.trainer.loss.relation_target == "renormalized"
 
 
 def test_unknown_key_rejected_with_path():

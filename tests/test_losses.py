@@ -233,6 +233,24 @@ def test_gfc_zero_denominator_falls_back_to_unit_weight():
     assert L.gfc_loss(batch, stats).item() == 0.0
 
 
+@pytest.mark.parametrize("stop_gradient", [True, False])
+@pytest.mark.parametrize("loss", ["gfc", "grd"])
+def test_mixed_batch_perfect_task_gets_unit_weights(loss, stop_gradient):
+    # task 0 (classes 0, 1) is predicted perfectly, task 1 (classes 2, 3) is not
+    labels = np.array([0, 1, 2, 3, 3])
+    rows = probs_for_abs_gradients([0.0, 0.0, 0.2, 0.5, 0.7], labels, 4)
+    batch = batch_from_probs(rows, labels, [0, 0, 1, 1], 2, 2)
+    stats = L.gradient_stats(batch)
+    groups = np.arange(5) if loss == "gfc" else labels
+    weights = L._balanced_weights(batch, stats, groups, stop_gradient).data
+
+    # sharpening exponent k_old / (k_old + k_new) = 2 / 4
+    sharp = np.log((1.0 - rows[np.arange(5), labels]) ** 0.5 + 1.0)
+    ratios = [sharp[groups == g].mean() / sharp[2:].mean() for g in np.unique(groups)[2:]]
+    np.testing.assert_array_equal(weights[:2], [1.0, 1.0])
+    np.testing.assert_allclose(weights[2:], ratios, rtol=1e-12, atol=0)
+
+
 def test_gfc_matches_bruteforce_transcription():
     rng = np.random.default_rng(13)
     batch = random_batch(rng, b=30)

@@ -41,7 +41,7 @@ def test_patch_count_from_config():
     cfg = ModelConfig(image_side=16, patch_side=4)
     assert cfg.n_patches == 16
     model = IncrementalModel(cfg, 2, np.random.default_rng(0))
-    z0 = model.embed(rand_image(cfg))
+    z0 = model._embed_batch(rand_image(cfg)[np.newaxis])
     assert z0.shape == (17, cfg.embed_dim)
 
 
@@ -49,7 +49,7 @@ def test_zero_image_embedding_is_cls_plus_position():
     cfg = MICRO
     model = make_model(cfg=cfg)
     model.patch_bias.data[:] = 0.0
-    z0 = model.embed(np.zeros((cfg.channels, cfg.image_side, cfg.image_side)))
+    z0 = model._embed_batch(np.zeros((1, cfg.channels, cfg.image_side, cfg.image_side)))
     expected = np.vstack([np.zeros((cfg.n_patches, cfg.embed_dim)), model.cls_token.data])
     expected = expected + model.pos_token.data
     np.testing.assert_array_equal(z0.data, expected)
@@ -68,7 +68,7 @@ def test_identical_patches_embed_identically_before_position():
 def test_embed_rejects_wrong_extent():
     model = make_model()
     with pytest.raises(ValueError):
-        model.embed(np.zeros((1, 12, 12)))
+        model._embed_batch(np.zeros((1, 1, 12, 12)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_embed_rejects_wrong_extent():
 def test_msa_attention_rows_sum_to_one():
     block = SelfAttentionBlock(MICRO, np.random.default_rng(3))
     z = ad.constant(np.random.default_rng(4).normal(size=(5, 8)))
-    block(z)
+    block.forward_rows(z, 1)
     for attn in block.last_attention:
         np.testing.assert_allclose(attn.sum(axis=1), np.ones(5), atol=1e-12)
 
@@ -89,7 +89,7 @@ def test_msa_is_identity_when_output_weights_zero():
     block.mlp.w2.data[:] = 0.0
     block.mlp.b2.data[:] = 0.0
     z = np.random.default_rng(6).normal(size=(5, 8))
-    out = block(ad.constant(z))
+    out = block.forward_rows(ad.constant(z), 1)
     np.testing.assert_array_equal(out.data, z)
 
 
@@ -98,7 +98,7 @@ def test_msa_block_gradient_wrt_input():
     sel = ad.constant(np.random.default_rng(8).normal(size=(3, 8)))
 
     def f(t):
-        return ad.sum_(ad.mul(block(t), sel))
+        return ad.sum_(ad.mul(block.forward_rows(t, 1), sel))
 
     err = ad.finite_diff_check(f, np.random.default_rng(9).normal(size=(3, 8)))
     assert err < 1e-5
@@ -113,7 +113,7 @@ def test_tsa_output_width_independent_of_sequence_length(n_rows):
     block = AggregationBlock(MICRO, np.random.default_rng(10))
     e = ad.constant(np.random.default_rng(11).normal(size=(1, 8)))
     z = ad.constant(np.random.default_rng(12).normal(size=(n_rows, 8)))
-    assert block(e, z).shape == (1, 8)
+    assert block.forward_rows(e, z, 1).shape == (1, 8)
 
 
 def test_tsa_uniform_attention_over_identical_rows():
@@ -122,10 +122,10 @@ def test_tsa_uniform_attention_over_identical_rows():
     z = ad.constant(np.tile(row, (6, 1)))
     e1 = ad.constant(np.random.default_rng(15).normal(size=(1, 8)))
     e2 = ad.constant(np.random.default_rng(16).normal(size=(1, 8)))
-    out1 = block(e1, z)
+    out1 = block.forward_rows(e1, z, 1)
     for attn in block.last_attention:
         np.testing.assert_allclose(attn, np.full((1, 6), 1 / 6), atol=1e-12)
-    out2 = block(e2, z)
+    out2 = block.forward_rows(e2, z, 1)
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
 
@@ -136,8 +136,10 @@ def test_tsa_block_gradient_wrt_query_and_context():
     e0 = rng.normal(size=(1, 8))
     sel = ad.constant(rng.normal(size=(1, 8)))
 
-    err_e = ad.finite_diff_check(lambda t: ad.sum_(ad.mul(block(t, ad.constant(z0)), sel)), e0)
-    err_z = ad.finite_diff_check(lambda t: ad.sum_(ad.mul(block(ad.constant(e0), t), sel)), z0)
+    err_e = ad.finite_diff_check(
+        lambda t: ad.sum_(ad.mul(block.forward_rows(t, ad.constant(z0), 1), sel)), e0)
+    err_z = ad.finite_diff_check(
+        lambda t: ad.sum_(ad.mul(block.forward_rows(ad.constant(e0), t, 1), sel)), z0)
     assert err_e < 1e-5 and err_z < 1e-5
 
 
@@ -147,19 +149,19 @@ def test_tsa_block_gradient_wrt_query_and_context():
 
 def test_forward_logits_cover_all_classes():
     model = make_model(n_classes=3)
-    logits, feature = model.forward(rand_image(MICRO))
+    logits, feature = model.forward_batch(rand_image(MICRO)[np.newaxis])
     assert logits.shape == (1, 3)
     assert feature.shape == (1, MICRO.embed_dim)
     model.expand_classifier(4, np.random.default_rng(1))
-    logits2, _ = model.forward(rand_image(MICRO))
+    logits2, _ = model.forward_batch(rand_image(MICRO)[np.newaxis])
     assert logits2.shape == (1, 7)
 
 
 def test_forward_is_deterministic():
     model = make_model()
     image = rand_image(MICRO, seed=2)
-    a, _ = model.forward(image)
-    b, _ = model.forward(image)
+    a, _ = model.forward_batch(image[np.newaxis])
+    b, _ = model.forward_batch(image[np.newaxis])
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -168,7 +170,7 @@ def test_feature_cls_head_width():
                       msa_blocks=1, tsa_blocks=1, classifier_input="feature_cls")
     model = IncrementalModel(cfg, 2, np.random.default_rng(0))
     assert model.cls_weight.shape == (2, 16)
-    logits, _ = model.forward(rand_image(cfg))
+    logits, _ = model.forward_batch(rand_image(cfg)[np.newaxis])
     assert logits.shape == (1, 2)
 
 
@@ -179,7 +181,7 @@ def test_feature_cls_batch_rows_match_single_image_forward():
     images = np.random.default_rng(2).uniform(size=(4, 1, 8, 8))
     logits, features = model.forward_batch(images)
     for i, image in enumerate(images):
-        one_logits, one_feature = model.forward(image)
+        one_logits, one_feature = model.forward_batch(image[np.newaxis])
         np.testing.assert_allclose(logits.data[i], one_logits.data[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(features.data[i], one_feature.data[0], rtol=0, atol=1e-12)
 
@@ -213,7 +215,7 @@ def test_full_forward_gradient_micro_model():
     sel = ad.constant(np.random.default_rng(21).normal(size=(1, 3)))
 
     def loss_fn():
-        logits, _ = model.forward(image)
+        logits, _ = model.forward_batch(image[np.newaxis])
         return ad.sum_(ad.mul(logits, sel))
 
     errs = finite_diff_over_params(loss_fn, model.parameters())
@@ -228,9 +230,9 @@ def test_full_forward_gradient_micro_model():
 def test_expansion_preserves_old_logits_exactly():
     model = make_model(n_classes=3)
     image = rand_image(MICRO, seed=22)
-    before, _ = model.forward(image)
+    before, _ = model.forward_batch(image[np.newaxis])
     model.expand_classifier(2, np.random.default_rng(23))
-    after, _ = model.forward(image)
+    after, _ = model.forward_batch(image[np.newaxis])
     np.testing.assert_array_equal(before.data[0], after.data[0, :3])
 
 
@@ -292,8 +294,9 @@ def test_checkpoint_roundtrip(tmp_path):
     model.save_checkpoint(path, task_index=1)
     restored, task_index = load_checkpoint(path)
     assert task_index == 1
-    image = rand_image(MICRO, seed=52)
-    np.testing.assert_array_equal(model.forward(image)[0].data, restored.forward(image)[0].data)
+    images = rand_image(MICRO, seed=52)[np.newaxis]
+    np.testing.assert_array_equal(model.forward_batch(images)[0].data,
+                                  restored.forward_batch(images)[0].data)
     for name, tensor in model.parameters().items():
         np.testing.assert_array_equal(tensor.data, restored.parameters()[name].data)
 
@@ -320,6 +323,8 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("task_index",), "1", "'task_index'", id="task_index-string"),
     pytest.param(("task_index",), True, "'task_index'", id="task_index-bool"),
     pytest.param(("params", "cls_token", "shape"), "x", "'cls_token'", id="shape-string"),
+    pytest.param(("config", "heads"), 0, "heads", id="heads-zero"),
+    pytest.param(("config", "patch_side"), 0, "patch_side", id="patch_side-zero"),
 ])
 def test_checkpoint_wrongly_typed_field_is_named(tmp_path, path, value, named):
     file = tmp_path / "model.json"
