@@ -10,9 +10,14 @@ none of its inputs requires a gradient, or inside ``with no_grad():``. Frozen
 snapshots, constant-only subgraphs and inference passes therefore hold no
 intermediates; the values they compute are the same either way.
 
+``backward`` releases each non-leaf node's gradient once its closure has
+passed it on, so afterwards ``.grad`` is meaningful on leaves only
+(parameters and inputs created with ``requires_grad=True``).
+
 ``attention(q, k, v, batch, heads)`` runs every head of a multi-head block in
 one op: q, k and v are full-width row stacks, laid out per head as
 (batch, heads, rows, head_dim), with a single backward closure.
+``linear(x, w, b)`` is x @ w + b as one node; ``reshape`` returns a view.
 
 ``finite_diff_check`` is the independent oracle used by the test suite and the
 ``gradcheck`` command: central differences per coordinate against the recorded
@@ -65,7 +70,8 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray:
-        """Accumulated gradient; zeros for nodes backward never reached."""
+        """Accumulated gradient; zeros for nodes backward never reached and for
+        non-leaf nodes, whose gradients backward releases once spent."""
         if self._grad is None:
             return np.zeros_like(self.data)
         return self._grad
@@ -226,12 +232,12 @@ def power(a: Tensor, p: float) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Tanh-approximated gelu: 0.5x(1 + tanh(c(x + 0.044715x^3)))."""
     x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * x2))
+    t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * (x * x)))
     data = 0.5 * x * (1.0 + t)
 
     def backward(g: np.ndarray) -> None:
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
+        # x*x is recomputed rather than kept alive between forward and backward
+        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
         local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         a._accumulate(g * local)
 
@@ -295,6 +301,7 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """A view of a's data in a new shape; no op writes a tensor's data in place."""
     new_shape = tuple(shape)
     if int(np.prod(new_shape)) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {new_shape}")
@@ -302,7 +309,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(g.reshape(a.shape))
 
-    return _result(a.data.reshape(new_shape).copy(), (a,), backward, "reshape")
+    return _result(a.data.reshape(new_shape), (a,), backward, "reshape")
 
 
 def tile_rows(a: Tensor, reps: int) -> Tensor:
@@ -347,6 +354,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(a.data.T @ g)
 
     return _result(data, (a, b), backward, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: the bias is added in place to the product.
+
+    Bit-identical to add(matmul(x, w), b) in value and in all three gradients;
+    the gradient of an input that requires none (a constant x) is skipped.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != (w.data.shape[1],)):
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not chain")
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        w._accumulate(x.data.T @ g)
+        b._accumulate(g.sum(axis=0))
+
+    return _result(data, (x, w, b), backward, "linear")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
@@ -429,9 +457,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} must be ({d},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is the arithmetic np.mean does, without its Python-level wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
@@ -439,7 +468,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     def backward(g: np.ndarray) -> None:
         gy = g * gain.data
         # classic per-row layer-norm gradient
-        dx = inv_std * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+        dx = inv_std * (gy - gy.sum(axis=-1, keepdims=True) / d
+                        - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d))
         x._accumulate(dx)
         reduce_axes = tuple(range(g.ndim - 1))
         gain._accumulate((g * xhat).sum(axis=reduce_axes))
@@ -472,7 +502,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients of a scalar loss into all reachable nodes."""
+    """Reverse-accumulate gradients of a scalar loss into all reachable leaves.
+
+    A non-leaf node's gradient is released as soon as its closure has passed it
+    on, so after the call ``.grad`` is meaningful on leaves only.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _topo_order(loss)
@@ -480,6 +514,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node._grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class Mlp:
         self.b2 = _zeros(dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, self.w1), self.b1)), self.w2), self.b2)
+        return ad.linear(ad.gelu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
 def _block_parameters(block, prefix: str) -> dict[str, Tensor]:
@@ -121,21 +121,22 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int,
     """Multi-head sample-local attention over `batch` stacked samples.
 
     q, k and v are full-width projections; head h reads column block h. q is
-    scaled by 1/sqrt(head width). Returns the side-by-side head outputs and
-    each head's attention probabilities for the first sample.
+    scaled by 1/sqrt(head width). Returns the side-by-side head outputs and a
+    copy of each head's attention probabilities for the first sample, so the
+    diagnostics do not pin the whole batch's probabilities.
     """
     q = ad.scale(q, 1.0 / math.sqrt(q.shape[1] // heads))
     out, probs = ad.attention(q, k, v, batch, heads)
-    return out, list(probs[:heads])
+    return out, list(probs[:heads].copy())
 
 
 class SelfAttentionBlock:
     """Pre-normed multi-head self-attention with a residual MLP tail.
 
     The query/key/value projections are stored as full width-by-width
-    matrices; head h reads column block h inside one attention call. The first
-    sample's per-head attention probabilities of the last call are kept for
-    diagnostics.
+    matrices; head h reads column block h inside one attention call. A copy
+    of the first sample's per-head attention probabilities of the last call
+    is kept for diagnostics.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -240,7 +241,7 @@ class IncrementalModel:
         n = self.cfg.n_patches
         patches = ad.constant(np.concatenate(
             [image_to_patches(img, self.cfg.patch_side) for img in images]))
-        z_e = ad.add(ad.matmul(patches, self.patch_proj), self.patch_bias)
+        z_e = ad.linear(patches, self.patch_proj, self.patch_bias)
         # one row per sample: its n patch rows, then its class token
         d = self.cfg.embed_dim
         per_sample = ad.concat([ad.reshape(z_e, (b, n * d)),

@@ -5,6 +5,7 @@ random inputs; the oracle itself is validated on cases with known closed
 forms first.
 """
 import inspect
+import math
 import zlib
 
 import numpy as np
@@ -203,6 +204,11 @@ OP_CASES = {
         lambda t: ad.sum_(ad.matmul(t, ad.mul(t, t))),
         (3, 3),
     ),
+    "linear": (
+        lambda t: ad.sum_(ad.mul(ad.linear(t, t, ad.sum_(t, axis=0)),
+                                 ad.constant(np.arange(9.0).reshape(3, 3)))),
+        (3, 3),
+    ),
     "sum_axis": (lambda t: ad.sum_(ad.exp(ad.sum_(t, axis=0))), (3, 2)),
     "mean": (lambda t: ad.mean(ad.mul(t, t)), (3, 4)),
     "mean_axis": (lambda t: ad.sum_(ad.exp(ad.mean(t, axis=1))), (2, 5)),
@@ -333,6 +339,74 @@ def test_multihead_attention_is_bit_identical_to_per_head_path(heads, m, n):
     assert np.array_equal(fused[1], reference[1].reshape(batch * heads, m, n))
     for got, want in zip(fused[2], reference[2]):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+def test_linear_is_bit_identical_to_matmul_plus_bias(x_needs_grad):
+    rng = rng_for("linear_bits")
+    arrays = [rng.normal(size=shape) for shape in ((7, 5), (5, 6), (6,))]
+    sel = ad.constant(rng.normal(size=(7, 6)))
+
+    def run(affine):
+        x = Tensor(arrays[0].copy(), requires_grad=x_needs_grad)
+        w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[1:])
+        out = affine(x, w, b)
+        ad.backward(ad.sum_(ad.mul(out, sel)))
+        return out.data, x, [t.grad for t in (x, w, b)]
+
+    fused = run(ad.linear)
+    reference = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    assert np.array_equal(fused[0], reference[0])
+    for got, want in zip(fused[2][not x_needs_grad:], reference[2][not x_needs_grad:]):
+        assert np.array_equal(got, want)
+    if not x_needs_grad:  # a constant input's gradient is not computed
+        assert fused[1]._grad is None
+
+
+def test_linear_rejects_bad_shapes():
+    x, w = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2)))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, w, Tensor(np.zeros(3)))
+
+
+def test_gelu_value_and_gradient_match_the_stored_square_formula():
+    # transcription of the form that kept x*x alive for the backward pass
+    x0 = rng_for("gelu_bits").normal(size=(40, 9)) * 3.0
+    x2 = x0 * x0
+    t = np.tanh(math.sqrt(2.0 / math.pi) * x0 * (1.0 + 0.044715 * x2))
+    value = 0.5 * x0 * (1.0 + t)
+    dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * x2)
+    local = 0.5 * (1.0 + t) + 0.5 * x0 * (1.0 - t * t) * dinner
+    sel = rng_for("gelu_sel").normal(size=x0.shape)
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = ad.gelu(x)
+    ad.backward(ad.sum_(ad.mul(out, ad.constant(sel))))
+    assert np.array_equal(out.data, value)
+    assert np.array_equal(x.grad, sel * local)
+
+
+def test_layer_norm_matches_the_np_mean_formula():
+    rng = rng_for("layer_norm_bits")
+    x0, gain0, bias0, sel = (rng.normal(size=s) for s in ((64, 7), (7,), (7,), (64, 7)))
+    mu = x0.mean(axis=-1, keepdims=True)
+    var = ((x0 - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+    xhat = (x0 - mu) * inv_std
+    gy = sel * gain0
+    dx = inv_std * (gy - gy.mean(axis=-1, keepdims=True)
+                    - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = ad.layer_norm(x, ad.constant(gain0), ad.constant(bias0))
+    ad.backward(ad.sum_(ad.mul(out, ad.constant(sel))))
+    assert np.array_equal(out.data, xhat * gain0 + bias0)
+    assert np.array_equal(x.grad, dx)
+
+
+def test_reshape_returns_a_view():
+    x = Tensor(np.arange(6.0), requires_grad=True)
+    assert np.shares_memory(ad.reshape(x, (2, 3)).data, x.data)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,22 @@ def test_train_different_seed_changes_results(tmp_path):
             != (tmp_path / "b" / "metrics.csv").read_bytes())
 
 
+def test_keep_freed_memory_sets_both_malloc_thresholds_or_nothing(monkeypatch):
+    calls = []
+
+    class Glibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Glibc())
+    cli.keep_freed_memory()
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no mallopt
+    cli.keep_freed_memory()
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # gradcheck command (op/block checks only here; the full sweep runs in
 # the acceptance suite)

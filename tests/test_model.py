@@ -223,6 +223,55 @@ def test_full_forward_gradient_micro_model():
     assert not bad, f"params over tolerance: {bad}"
 
 
+def test_backward_releases_non_leaf_gradients_and_keeps_parameter_gradients():
+    model = make_model(n_classes=3)
+    images = np.random.default_rng(22).uniform(size=(3, 1, 8, 8))
+    sel = ad.constant(np.random.default_rng(23).normal(size=(3, 3)))
+    params = model.parameters()
+
+    def loss_and_order():
+        for p in params.values():
+            p.zero_grad()
+        loss = ad.sum_(ad.mul(ad.softmax(model.forward_batch(images)[0], axis=1), sel))
+        return loss, ad._topo_order(loss)
+
+    # reference: the reverse pass that keeps every gradient
+    loss, order = loss_and_order()
+    loss._accumulate(np.ones_like(loss.data))
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+    kept = {name: p.grad.copy() for name, p in params.items()}
+
+    loss, order = loss_and_order()
+    ad.backward(loss)
+    inner = [node for node in order if node._backward is not None]
+    assert inner and all(node._grad is None for node in inner)
+    for name, p in params.items():
+        assert p._grad is not None and np.array_equal(p.grad, kept[name]), name
+
+
+def test_last_attention_is_a_copy_of_the_first_sample(monkeypatch):
+    returned = []
+    attention = ad.attention
+
+    def recording_attention(*args, **kwargs):
+        out, probs = attention(*args, **kwargs)
+        returned.append(probs)
+        return out, probs
+
+    monkeypatch.setattr(ad, "attention", recording_attention)
+    model = make_model(n_classes=3)
+    model.forward_batch(np.random.default_rng(24).uniform(size=(4, 1, 8, 8)))
+    blocks = model.msa + model.tsa
+    assert len(returned) == len(blocks)
+    for block, probs in zip(blocks, returned):
+        assert len(block.last_attention) == MICRO.heads
+        for h, attn in enumerate(block.last_attention):
+            assert not np.shares_memory(attn, probs)
+            assert np.array_equal(attn, probs[h])
+
+
 # ---------------------------------------------------------------------------
 # classifier growth and snapshots
 
@@ -371,4 +420,4 @@ def test_forward_graph_does_not_grow_with_batch_size(classifier_input):
     counts = [len(ad._topo_order(ad.sum_(model.forward_batch(images[:b])[0])))
               for b in (1, 16)]
     assert counts[0] == counts[1]
-    assert counts[1] <= 110
+    assert counts[1] <= 102
