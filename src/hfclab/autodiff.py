@@ -80,6 +80,8 @@ class Tensor:
         self._grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return  # constants (masks, targets, averaging matrices) keep no gradient
         if self._grad is None:
             self._grad = np.array(g, dtype=np.float64, copy=True)
         else:

@@ -1,7 +1,7 @@
 """Command-line surface: seeded training runs, gradient checks, run comparison.
 
 Exit codes: 0 success, 1 runtime failure (message names the failing task or
-run), 2 configuration problems (message names the offending field).
+run), 2 configuration problems (message names the offending field or path).
 """
 from __future__ import annotations
 
@@ -59,14 +59,17 @@ def cmd_train(args) -> int:
         return 2
 
     try:
-        report = C.run_stream(stream, train_set, test_set, model, cfg.trainer,
-                              master_seed=args.seed, out_dir=args.out,
-                              config_echo=config_to_dict(cfg))
+        last = C.run_stream(stream, train_set, test_set, model, cfg.trainer,
+                            master_seed=args.seed, out_dir=args.out,
+                            config_echo=config_to_dict(cfg))[-1]
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"run complete: avg top-1 {report.avg_incremental:.4f}, "
-          f"fh {report.fh:.6f}; reports in {args.out}")
+    except OSError as exc:
+        print(f"error: cannot write reports to {args.out}: {exc}", file=sys.stderr)
+        return 2
+    print(f"run complete: avg top-1 {last.avg_incremental:.4f}, "
+          f"fh {last.fh:.6f}; reports in {args.out}")
     return 0
 
 

@@ -246,17 +246,20 @@ def run_stream(
     master_seed: int,
     out_dir: str | Path | None = None,
     config_echo: dict | None = None,
-) -> MT.RunReport:
+) -> list[TaskRecord]:
     """Train through every task and evaluate over all seen classes after each.
 
-    Returns the run report; when out_dir is given also writes metrics.csv,
-    summary.json and per-task checkpoints there.
+    Returns the task records. When out_dir is given, it is created before the
+    first task and gets metrics.csv, summary.json and per-task checkpoints.
     """
     start_time = time.monotonic()
     if stream.n_classes != train_set.n_classes:
         raise ValueError("stream and dataset disagree on class count")
     if model.n_classes != stream.task_sizes[0]:
         raise ValueError("model must start with exactly the first task's classes")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     remap = stream.remap()
     train_labels = remap[train_set.labels]
@@ -290,19 +293,16 @@ def run_stream(
         memory.update(new_class_features, stream.n_seen(task_index))
         old_model = model.snapshot()
         if out_dir is not None:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            model.save_checkpoint(Path(out_dir) / f"task{task_index + 1}.ckpt.json",
-                                  task_index + 1)
+            model.save_checkpoint(out_dir / f"task{task_index + 1}.ckpt.json", task_index + 1)
         if task_index + 1 < stream.n_tasks:
             model.expand_classifier(stream.task_sizes[task_index + 1], expand_rng)
             optimizer.rebind(model.parameters())
 
     if out_dir is not None:
-        write_metrics_csv(Path(out_dir) / "metrics.csv", records)
-        write_summary_json(Path(out_dir) / "summary.json", records, config, master_seed,
+        write_metrics_csv(out_dir / "metrics.csv", records)
+        write_summary_json(out_dir / "summary.json", records, config, master_seed,
                            time.monotonic() - start_time, config_echo=config_echo)
-    return MT.RunReport([r.top1 for r in records], records[-1].avg_incremental,
-                        records[-1].fh)
+    return records
 
 
 def _train_one_task(task_index, space, stream, train_set, train_labels, test_set,

@@ -32,7 +32,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     n_classes: int
-    provenance: str = "unknown"
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -140,7 +139,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             images[row] = np.clip(sample, 0.0, 1.0)
             labels[row] = cls
             row += 1
-    return Dataset(images, labels, spec.n_classes, provenance="synthetic")
+    return Dataset(images, labels, spec.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def load_cifar100_binary(train_path: str | Path, test_path: str | Path) -> tuple
         _, fine, pixels = read_label_records(path)
         datasets.append(Dataset(pixels.astype(np.float64) / 255.0,
                                 fine.astype(np.int64),
-                                CIFAR_CLASSES, provenance=f"cifar100:{path}"))
+                                CIFAR_CLASSES))
     return datasets[0], datasets[1]
 
 
@@ -223,7 +222,7 @@ def load_dataset_binary(path: str | Path) -> Dataset:
     labels = np.frombuffer(raw, dtype="<u2", count=n, offset=24).astype(np.int64)
     pixels = np.frombuffer(raw, dtype=np.uint8, count=pixel_bytes, offset=24 + label_bytes)
     images = pixels.reshape(n, channels, side, side).astype(np.float64) / 255.0
-    return Dataset(images, labels, n_classes, provenance=f"binary:{path}")
+    return Dataset(images, labels, n_classes)
 
 
 # ---------------------------------------------------------------------------

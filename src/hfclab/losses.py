@@ -9,7 +9,7 @@ measurements: they scale the losses but receive no gradient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,15 +89,10 @@ class BatchView:
 
 @dataclass
 class GradientStats:
-    """Detached batch statistics; tasks/classes absent from the batch are absent here."""
+    """Detached per-sample values: gamma = p_true - 1 and its sharpened statistic."""
 
     per_sample: np.ndarray
-    sharpen_exponent: float
-    task_mean: dict[int, float] = field(default_factory=dict)
-    task_sharp_mean: dict[int, float] = field(default_factory=dict)
-    class_sharp_mean: dict[int, float] = field(default_factory=dict)
-    task_counts: dict[int, int] = field(default_factory=dict)
-    class_counts: dict[int, int] = field(default_factory=dict)
+    sharp: np.ndarray
 
 
 def per_sample_gradient(batch: BatchView) -> np.ndarray:
@@ -117,21 +112,7 @@ def sharpened_stat(abs_gradient, k_old: int, k_new: int):
 
 def gradient_stats(batch: BatchView) -> GradientStats:
     gamma = per_sample_gradient(batch)
-    abs_gamma = np.abs(gamma)
-    sharp = sharpened_stat(abs_gamma, batch.k_old, batch.k_new)
-    tasks = batch.sample_tasks()
-    stats = GradientStats(per_sample=gamma,
-                          sharpen_exponent=sharpen_exponent(batch.k_old, batch.k_new))
-    for task in np.unique(tasks):
-        mask = tasks == task
-        stats.task_counts[int(task)] = int(mask.sum())
-        stats.task_mean[int(task)] = float(abs_gamma[mask].mean())
-        stats.task_sharp_mean[int(task)] = float(sharp[mask].mean())
-    for cls in np.unique(batch.labels):
-        mask = batch.labels == cls
-        stats.class_counts[int(cls)] = int(mask.sum())
-        stats.class_sharp_mean[int(cls)] = float(sharp[mask].mean())
-    return stats
+    return GradientStats(gamma, sharpened_stat(np.abs(gamma), batch.k_old, batch.k_new))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +145,7 @@ def _balanced_weights(batch: BatchView, stats: GradientStats, groups: np.ndarray
     differentiable ones from the live predictions.
     """
     if stop_gradient:
-        sharp = ad.constant(sharpened_stat(np.abs(stats.per_sample), batch.k_old, batch.k_new))
+        sharp = ad.constant(stats.sharp)
     else:
         sharp = _sharpened_tensor(batch)
     keys, first = np.unique(groups, return_index=True)
@@ -172,9 +153,9 @@ def _balanced_weights(batch: BatchView, stats: GradientStats, groups: np.ndarray
     column = ad.reshape(sharp, (batch.batch_size, 1))
     group_mean = ad.matmul(ad.constant(_group_means(groups, keys)), column)
     task_mean = ad.matmul(ad.constant(_group_means(tasks, tasks[first])), column)
-    # a perfectly predicted task keeps unit weight; decided on the detached
-    # statistic because the live one clamps |g| and is never exactly 0
-    zero = np.array([[stats.task_sharp_mean[int(t)] == 0.0] for t in tasks[first]])
+    # a perfectly predicted task (no nonzero statistic) keeps unit weight; decided
+    # on the detached statistic because the live one clamps |g| and is never 0
+    zero = ~np.isin(tasks[first], tasks[stats.sharp != 0.0])[:, None]
     unit = ad.constant(zero.astype(np.float64))
     keep = ad.constant((~zero).astype(np.float64))
     weights = ad.add(ad.mul(ad.div(group_mean, ad.add(task_mean, unit)), keep), unit)

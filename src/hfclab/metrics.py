@@ -7,19 +7,9 @@ task gives zero; unequal forgetting speeds push it up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-
-
-@dataclass
-class RunReport:
-    task_top1: list[float]
-    avg_incremental: float
-    fh: float
-
 
 EVAL_CHUNK = 32
 

@@ -194,15 +194,16 @@ class AggregationBlock:
         return ad.add(aggregated, self.mlp(normed))
 
 
-def image_to_patches(image: np.ndarray, patch_side: int) -> np.ndarray:
-    """Raster-order non-overlapping patches, each flattened channel-first."""
-    c, s, s2 = image.shape
+def image_to_patches(images: np.ndarray, patch_side: int) -> np.ndarray:
+    """(b, C, S, S) -> (b * patches, C * patch_side**2): each image's raster-order
+    non-overlapping patches in turn, each flattened channel-first."""
+    b, c, s, s2 = images.shape
     if s != s2 or s % patch_side != 0:
-        raise ValueError(f"image shape {image.shape} incompatible with patch side {patch_side}")
+        raise ValueError(f"image shape {images.shape} incompatible with patch side {patch_side}")
     n_side = s // patch_side
-    x = image.reshape(c, n_side, patch_side, n_side, patch_side)
-    x = x.transpose(1, 3, 0, 2, 4)
-    return np.ascontiguousarray(x.reshape(n_side * n_side, c * patch_side**2))
+    x = images.reshape(b, c, n_side, patch_side, n_side, patch_side)
+    x = x.transpose(0, 2, 4, 1, 3, 5)
+    return np.ascontiguousarray(x.reshape(b * n_side * n_side, c * patch_side**2))
 
 
 class IncrementalModel:
@@ -239,13 +240,12 @@ class IncrementalModel:
             raise ValueError(f"image shape {images.shape[1:]} does not match config {expected}")
         b = len(images)
         n = self.cfg.n_patches
-        patches = ad.constant(np.concatenate(
-            [image_to_patches(img, self.cfg.patch_side) for img in images]))
+        patches = ad.constant(image_to_patches(images, self.cfg.patch_side))
         z_e = ad.linear(patches, self.patch_proj, self.patch_bias)
         # one row per sample: its n patch rows, then its class token
         d = self.cfg.embed_dim
-        per_sample = ad.concat([ad.reshape(z_e, (b, n * d)),
-                                ad.reshape(ad.tile_rows(self.cls_token, b), (b, d))], axis=1)
+        per_sample = ad.concat([ad.reshape(z_e, (b, n * d)), ad.tile_rows(self.cls_token, b)],
+                               axis=1)
         stacked = ad.reshape(per_sample, (b * (n + 1), d))
         return ad.add(stacked, ad.tile_rows(self.pos_token, b))
 

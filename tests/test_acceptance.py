@@ -77,12 +77,14 @@ def test_criterion_2_loss_identities(capsys):
     assert worst_w < 1e-10
 
     # (c) count-weighted per-task mean of distillation class weights is 1
+    classes, counts = np.unique(big.labels, return_counts=True)
+    class_weights = LS._balanced_weights(big, big_stats, big.labels).data
+    class_tasks = big.class_to_task[classes]
     worst_c = 0.0
-    for task in big_stats.task_sharp_mean:
-        classes = [c for c in big_stats.class_sharp_mean if big.class_to_task[c] == task]
-        num = sum(big_stats.class_counts[c] * big_stats.class_sharp_mean[c] for c in classes)
-        den = sum(big_stats.class_counts[c] for c in classes) * big_stats.task_sharp_mean[task]
-        worst_c = max(worst_c, abs(num / den - 1.0))
+    for task in np.unique(class_tasks):
+        mine = class_tasks == task
+        mean = np.dot(class_weights[mine], counts[mine]) / counts[mine].sum()
+        worst_c = max(worst_c, abs(mean - 1.0))
     assert worst_c < 1e-10
 
     # (d) distillation loss vanishes when prototypes equal their targets
@@ -118,17 +120,20 @@ def test_criterion_3_statistic_oracles(capsys):
     exponent = k_old / (k_old + k_new)
     gamma = [probs[i, labels[i]] - 1.0 for i in range(b)]
     sharp = [math.log(abs(g) ** exponent + 1.0) for g in gamma]
-    worst = max(abs(stats.per_sample[i] - gamma[i]) for i in range(b))
-    for task in set(ctt[labels]):
+    task_mean = {}
+    for task in set(ctt[labels].tolist()):
         members = [i for i in range(b) if ctt[labels[i]] == task]
-        raw_mean = sum(abs(gamma[i]) for i in members) / len(members)
-        sharp_mean = sum(sharp[i] for i in members) / len(members)
-        worst = max(worst, abs(stats.task_mean[task] - raw_mean),
-                    abs(stats.task_sharp_mean[task] - sharp_mean))
-    for cls in set(labels.tolist()):
+        task_mean[task] = sum(sharp[i] for i in members) / len(members)
+    sample_weights = LS._balanced_weights(batch, stats, np.arange(b)).data
+    worst = 0.0
+    for i in range(b):
+        worst = max(worst, abs(stats.per_sample[i] - gamma[i]), abs(stats.sharp[i] - sharp[i]),
+                    abs(sample_weights[i] - sharp[i] / task_mean[ctt[labels[i]]]))
+    class_weights = LS._balanced_weights(batch, stats, labels).data
+    for r, cls in enumerate(sorted(set(labels.tolist()))):
         members = [i for i in range(b) if labels[i] == cls]
         cls_mean = sum(sharp[i] for i in members) / len(members)
-        worst = max(worst, abs(stats.class_sharp_mean[cls] - cls_mean))
+        worst = max(worst, abs(class_weights[r] - cls_mean / task_mean[ctt[cls]]))
     assert worst < 1e-10
 
     # forgetting heterogeneity against its own brute-force pass
@@ -227,7 +232,7 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
 # 5. directional experiment
 
 
-def _experiment_run(seed: int, uniform_weights: bool) -> MT.RunReport:
+def _experiment_run(seed: int, uniform_weights: bool) -> C.TaskRecord:
     noise = tuple(np.linspace(0.02, 0.3, 10))
     ds_seed = stream_seed(seed, "dataset")
     train = D.generate_synthetic(D.SyntheticSpec(10, 60, side=16, class_noise=noise,
@@ -239,7 +244,7 @@ def _experiment_run(seed: int, uniform_weights: bool) -> MT.RunReport:
     cfg = C.TrainerConfig(memory_capacity=100,
                           alpha2=0.0 if uniform_weights else C.TrainerConfig().alpha2,
                           uniform_weights=uniform_weights)
-    return C.run_stream(stream, train, test, model, cfg, master_seed=seed)
+    return C.run_stream(stream, train, test, model, cfg, master_seed=seed)[-1]
 
 
 def test_criterion_5_directional_experiment(capsys):

@@ -170,6 +170,21 @@ def test_train_missing_cifar_files_exit_2(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_train_out_under_a_regular_file_exits_2_before_training(tmp_path, capsys,
+                                                                 monkeypatch):
+    from hfclab import continual as C
+
+    trained = []
+    monkeypatch.setattr(C, "_train_one_task", lambda *a, **k: trained.append(1))
+    (tmp_path / "notadir").write_text("", encoding="utf-8")
+    out = tmp_path / "notadir" / "run"
+    code = cli.main(["train", "--config", str(write_config(tmp_path, minimal_config())),
+                     "--out", str(out)])
+    assert code == 2
+    assert str(out) in capsys.readouterr().err
+    assert not trained
+
+
 def test_train_minimal_run_writes_reports(tmp_path):
     code = cli.main(["train", "--config", str(write_config(tmp_path, minimal_config())),
                      "--out", str(tmp_path / "out"), "--seed", "5"])

@@ -115,45 +115,50 @@ def test_sharpening_monotone_in_gradient_and_exponent():
 # batch statistics
 
 
+def sample_weights(batch, stats):
+    return L._balanced_weights(batch, stats, np.arange(batch.batch_size)).data
+
+
+def class_weights(batch, stats):
+    return L._balanced_weights(batch, stats, batch.labels).data
+
+
 def test_stats_two_sample_task_mean():
     rows = probs_for_abs_gradients([0.75, 0.25], [0, 1], 4)
     batch = batch_from_probs(rows, [0, 1], [0, 0, 1, 1], 2, 2)
     stats = L.gradient_stats(batch)
-    expected = (math.log(math.sqrt(0.75) + 1) + math.log(math.sqrt(0.25) + 1)) / 2
-    assert abs(stats.task_sharp_mean[0] - expected) < 1e-12
-    assert abs(stats.task_mean[0] - 0.5) < 1e-12
+    sharp = [math.log(math.sqrt(0.75) + 1), math.log(math.sqrt(0.25) + 1)]
+    np.testing.assert_allclose(stats.per_sample, [-0.75, -0.25], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stats.sharp, sharp, rtol=0, atol=1e-12)
+    expected = [s / (sum(sharp) / 2) for s in sharp]
+    np.testing.assert_allclose(sample_weights(batch, stats), expected, rtol=0, atol=1e-12)
 
 
 def test_stats_single_sample_task():
     rows = probs_for_abs_gradients([0.4], [2], 4)
     batch = batch_from_probs(rows, [2], [0, 0, 1, 1], 2, 2)
     stats = L.gradient_stats(batch)
-    assert abs(stats.task_mean[1] - 0.4) < 1e-12
-    assert abs(stats.task_sharp_mean[1] - L.sharpened_stat(0.4, 2, 2)) < 1e-15
-    assert 0 not in stats.task_mean  # absent task stays undefined, never zero
+    assert abs(stats.per_sample[0] + 0.4) < 1e-12
+    assert abs(stats.sharp[0] - L.sharpened_stat(0.4, 2, 2)) < 1e-15
+    # one weight each for the one sample and the one class; absent tasks get none
+    np.testing.assert_array_equal(sample_weights(batch, stats), [1.0])
+    np.testing.assert_array_equal(class_weights(batch, stats), [1.0])
 
 
 def test_stats_class_task_partition():
+    """Per task, the GFC sample weights and the count-weighted GRD class
+    weights both add up to the task's sample count."""
     rng = np.random.default_rng(5)
     batch = random_batch(rng, b=40)
     stats = L.gradient_stats(batch)
-    class_side = sum(stats.class_counts[c] * stats.class_sharp_mean[c]
-                     for c in stats.class_sharp_mean)
-    task_side = sum(stats.task_counts[t] * stats.task_sharp_mean[t]
-                    for t in stats.task_sharp_mean)
-    assert abs(class_side - task_side) < 1e-10
-
-
-def test_stats_count_weighted_class_means_recover_task_means():
-    rng = np.random.default_rng(6)
-    batch = random_batch(rng, b=60)
-    stats = L.gradient_stats(batch)
-    for task, task_value in stats.task_sharp_mean.items():
-        classes = [c for c in stats.class_sharp_mean
-                   if batch.class_to_task[c] == task]
-        weighted = sum(stats.class_counts[c] * stats.class_sharp_mean[c] for c in classes)
-        count = sum(stats.class_counts[c] for c in classes)
-        assert abs(weighted / count - task_value) < 1e-10
+    tasks = batch.sample_tasks()
+    classes, counts = np.unique(batch.labels, return_counts=True)
+    class_side = class_weights(batch, stats) * counts
+    sample_side = sample_weights(batch, stats)
+    for task in np.unique(tasks):
+        n = np.sum(tasks == task)
+        assert abs(sample_side[tasks == task].sum() - n) < 1e-10
+        assert abs(class_side[batch.class_to_task[classes] == task].sum() - n) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,15 +405,17 @@ def test_grd_single_class_weight_is_one():
 
 
 def test_grd_class_weights_count_average_to_one_per_task():
-    rng = np.random.default_rng(21)
-    batch = random_batch(rng, b=60, with_old=True)
-    stats = L.gradient_stats(batch)
-    for task in stats.task_sharp_mean:
-        classes = [c for c in stats.class_sharp_mean if batch.class_to_task[c] == task]
-        weights = [stats.class_sharp_mean[c] / stats.task_sharp_mean[task] for c in classes]
-        counts = [stats.class_counts[c] for c in classes]
-        weighted_mean = np.dot(weights, counts) / np.sum(counts)
-        assert abs(weighted_mean - 1.0) < 1e-10
+    """Count-weighted class means recover task means: each task's
+    count-weighted mean of class weights is 1."""
+    for seed, with_old in ((6, False), (21, True)):
+        batch = random_batch(np.random.default_rng(seed), b=60, with_old=with_old)
+        weights = class_weights(batch, L.gradient_stats(batch))
+        classes, counts = np.unique(batch.labels, return_counts=True)
+        class_tasks = batch.class_to_task[classes]
+        for task in np.unique(class_tasks):
+            mine = class_tasks == task
+            weighted_mean = np.dot(weights[mine], counts[mine]) / counts[mine].sum()
+            assert abs(weighted_mean - 1.0) < 1e-10
 
 
 def test_grd_gradient_wrt_logits():
@@ -547,6 +554,21 @@ def test_objective_zero_coefficients_give_zero_gradient():
     assert loss.item() == 0.0
     ad.backward(loss)
     np.testing.assert_array_equal(logits.grad, np.zeros((6, 5)))
+
+
+@pytest.mark.parametrize("stop_gradient", [True, False])
+def test_backward_stores_no_gradient_on_constants(stop_gradient):
+    """Masks, teacher targets and averaging matrices receive no gradient."""
+    rng = np.random.default_rng(28)
+    logits = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    o = rng.uniform(0.1, 1.0, size=(8, 3))
+    batch = L.BatchView(ad.softmax(logits, axis=1), rng.integers(0, 5, size=8),
+                        np.array([0, 0, 1, 1, 2]), 3, 2, o / o.sum(axis=1, keepdims=True))
+    loss = L.objective(batch, None, 1.0, 0.5, L.LossConfig(weight_stop_gradient=stop_gradient))
+    ad.backward(loss)
+    constants = [node for node in ad._topo_order(loss) if not node.requires_grad]
+    assert constants and all(node._grad is None for node in constants)
+    assert logits._grad is not None
 
 
 def test_objective_gradient_wrt_logits():

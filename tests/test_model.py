@@ -59,10 +59,29 @@ def test_identical_patches_embed_identically_before_position():
     cfg = MICRO
     model = make_model(cfg=cfg)
     image = np.tile(np.arange(16.0).reshape(1, 4, 4), (1, 2, 2)) / 16.0
-    patches = image_to_patches(image, cfg.patch_side)
+    patches = image_to_patches(image[np.newaxis], cfg.patch_side)
     assert np.all(patches == patches[0])
     projected = patches @ model.patch_proj.data + model.patch_bias.data
     assert np.all(projected == projected[0])
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_batched_patches_equal_per_image_patches_in_order(b, channels):
+    images = np.random.default_rng(62).uniform(size=(b, channels, 8, 8))
+    batched = image_to_patches(images, 4)
+    per_image = np.concatenate([image_to_patches(img[np.newaxis], 4) for img in images])
+    assert np.array_equal(batched, per_image)
+    # raster order within each image, each patch flattened channel-first
+    sliced = [img[:, r:r + 4, c:c + 4].reshape(-1)
+              for img in images for r in (0, 4) for c in (0, 4)]
+    assert np.array_equal(batched, np.stack(sliced))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 8, 4), (2, 1, 6, 6)])
+def test_patches_reject_non_square_or_non_divisible_images(shape):
+    with pytest.raises(ValueError, match="incompatible with patch side 4"):
+        image_to_patches(np.zeros(shape), 4)
 
 
 def test_embed_rejects_wrong_extent():
@@ -420,4 +439,4 @@ def test_forward_graph_does_not_grow_with_batch_size(classifier_input):
     counts = [len(ad._topo_order(ad.sum_(model.forward_batch(images[:b])[0])))
               for b in (1, 16)]
     assert counts[0] == counts[1]
-    assert counts[1] <= 102
+    assert counts[1] <= 101
