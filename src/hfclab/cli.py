@@ -41,8 +41,8 @@ def cmd_train(args) -> int:
         return 2
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: config {config_path} is not valid UTF-8 JSON: {exc}", file=sys.stderr)
         return 2
     try:
         cfg = parse_config(raw)
@@ -99,19 +99,23 @@ def cmd_compare(args) -> int:
             rows.append((Path(run_dir).name,
                          float(summary["avg_incremental_acc"]),
                          float(summary["fh"])))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: cannot read run {run_dir}: {exc}", file=sys.stderr)
             return 1
     rows.sort(key=lambda r: -r[1])
+    try:
+        with open(args.out, "w", newline="") as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["variant", "avg_acc", "fh"])
+            for name, acc, fh in rows:
+                writer.writerow([name, repr(acc), repr(fh)])
+    except OSError as exc:
+        print(f"error: cannot write comparison to {args.out}: {exc}", file=sys.stderr)
+        return 2
     name_width = max(len(r[0]) for r in rows)
     print(f"{'variant':<{name_width}}  {'avg_acc':>10}  {'fh':>12}")
     for name, acc, fh in rows:
         print(f"{name:<{name_width}}  {acc:>10.4f}  {fh:>12.6f}")
-    with open(args.out, "w", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["variant", "avg_acc", "fh"])
-        for name, acc, fh in rows:
-            writer.writerow([name, repr(acc), repr(fh)])
     return 0
 
 

@@ -321,34 +321,39 @@ def _train_one_task(task_index, space, stream, train_set, train_labels, test_set
     if use_relation and not config.flip_augment:
         # frozen teacher, fixed pool: predictions are constant for the task
         pool_probs, _ = MT.predict_outputs(old_model, train_set.images[pool])
+
+    def train_step(rows: np.ndarray) -> float:
+        """One SGD step on pool[rows]; returns its loss. The step's graph, the
+        unused feature output included, is reachable only from these locals,
+        so it is freed on return, before the next step or evaluation starts."""
+        batch_idx = pool[rows]
+        images = train_set.images[batch_idx]
+        labels = train_labels[batch_idx]
+        if config.flip_augment:
+            flips = batch_rng.random(len(images)) < 0.5
+            images = images.copy()
+            images[flips] = images[flips][..., ::-1]
+        logits, _ = model.forward_batch(images)
+        probs = ad.softmax(logits, axis=1)
+        old_probs = None
+        if use_relation:
+            if pool_probs is not None:
+                old_probs = pool_probs[rows]
+            else:
+                old_probs = np.stack([old_model.predict(img)[0] for img in images])
+        batch = LS.BatchView(probs, labels, class_to_task, k_old, k_new, old_probs)
+        loss = _batch_loss(batch, task_index, config)
+        optimizer.zero_grad()
+        ad.backward(loss)
+        optimizer.step()
+        return loss.item()
+
     epoch_losses: list[float] = []
     for _ in range(config.epochs_per_task):
         order = batch_rng.permutation(len(pool))
-        losses_this_epoch: list[float] = []
-        for start in range(0, len(pool), config.batch_size):
-            rows = order[start:start + config.batch_size]
-            batch_idx = pool[rows]
-            images = train_set.images[batch_idx]
-            labels = train_labels[batch_idx]
-            if config.flip_augment:
-                flips = batch_rng.random(len(images)) < 0.5
-                images = images.copy()
-                images[flips] = images[flips][..., ::-1]
-            logits, _ = model.forward_batch(images)
-            probs = ad.softmax(logits, axis=1)
-            old_probs = None
-            if use_relation:
-                if pool_probs is not None:
-                    old_probs = pool_probs[rows]
-                else:
-                    old_probs = np.stack([old_model.predict(img)[0] for img in images])
-            batch = LS.BatchView(probs, labels, class_to_task, k_old, k_new, old_probs)
-            loss = _batch_loss(batch, task_index, config)
-            optimizer.zero_grad()
-            ad.backward(loss)
-            optimizer.step()
-            losses_this_epoch.append(loss.item())
-        epoch_losses.append(float(np.mean(losses_this_epoch)))
+        epoch_losses.append(float(np.mean([
+            train_step(order[start:start + config.batch_size])
+            for start in range(0, len(pool), config.batch_size)])))
 
     seen = stream.n_seen(task_index)
     eval_mask = test_labels < seen

@@ -342,11 +342,17 @@ class IncrementalModel:
         return model
 
     def save_checkpoint(self, path: str | Path, task_index: int) -> None:
+        """Write the bytes of json.dumps(payload), one parameter at a time, so the
+        float lists and the text of the whole payload are never in memory at once."""
         state = self.state_dict()
-        state["params"] = {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-                           for name, arr in state["params"].items()}
-        payload = {"format_version": 1, "task_index": task_index, **state}
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        params = state.pop("params")
+        head = json.dumps({"format_version": 1, "task_index": task_index, **state})
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(head[:-1] + ', "params": {')
+            for i, (name, arr) in enumerate(params.items()):
+                entry = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                out.write((", " if i else "") + f"{json.dumps(name)}: {json.dumps(entry)}")
+            out.write("}}")
 
 
 _JSON_KINDS = {int: "an integer", str: "a string", dict: "an object"}

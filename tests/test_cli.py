@@ -125,6 +125,14 @@ def test_train_invalid_json_exits_2(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_train_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(minimal_config()).encode("utf-16-le"))
+    code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     bad = minimal_config()
     bad["stream"]["base_fraction"] = 0.3
@@ -345,3 +353,20 @@ def test_compare_unreadable_run_exits_1(tmp_path, capsys):
     assert cli.main(["compare", "--runs", str(tmp_path / "ghost"),
                      "--out", str(tmp_path / "cmp.csv")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("summary", [[0.5, 0.01], {"avg_incremental_acc": None, "fh": 0.01}],
+                         ids=["list", "null-accuracy"])
+def test_compare_malformed_summary_exits_1(tmp_path, capsys, summary):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    assert cli.main(["compare", "--runs", str(run), "--out", str(tmp_path / "cmp.csv")]) == 1
+    assert f"cannot read run {run}" in capsys.readouterr().err
+
+
+def test_compare_out_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys):
+    run = fake_run(tmp_path, "solo", 0.75, 0.01)
+    out_csv = tmp_path / "missing" / "cmp.csv"
+    assert cli.main(["compare", "--runs", str(run), "--out", str(out_csv)]) == 2
+    assert str(out_csv) in capsys.readouterr().err

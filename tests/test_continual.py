@@ -1,12 +1,15 @@
 """Tests for the task stream, exemplar memory, optimizer, and training loop."""
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from hfclab import autodiff as ad
 from hfclab import continual as C
 from hfclab import data as D
 from hfclab import losses as LS
+from hfclab import metrics as MT
 from hfclab.autodiff import Tensor
 from hfclab.model import IncrementalModel, ModelConfig
 
@@ -350,3 +353,41 @@ def test_flip_augmentation_changes_training_but_stays_seeded(tmp_path):
         outs[name] = (tmp_path / name / "metrics.csv").read_bytes()
     assert outs["flip_a"] == outs["flip_b"]  # still a pure function of the seed
     assert outs["plain"] != outs["flip_a"]  # flipping consumed rng and changed batches
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_no_training_graph_outlives_its_step(monkeypatch, flip):
+    """Each training forward pass and each evaluation starts with no graph alive.
+
+    Cyclic collection is off during the run, so a graph counts as released
+    only when reference counting freed it.
+    """
+    live = {"train_forward": [], "evaluation": []}
+
+    def graph_nodes():
+        return sum(1 for obj in gc.get_objects()
+                   if isinstance(obj, Tensor) and obj._backward is not None)
+
+    forward_batch, predict_probs = IncrementalModel.forward_batch, MT.predict_probs
+
+    def counting_forward(self, images):
+        if ad._grad_enabled and not self.frozen:
+            live["train_forward"].append(graph_nodes())
+        return forward_batch(self, images)
+
+    def counting_predict_probs(model, images):
+        live["evaluation"].append(graph_nodes())
+        return predict_probs(model, images)
+
+    monkeypatch.setattr(IncrementalModel, "forward_batch", counting_forward)
+    monkeypatch.setattr(MT, "predict_probs", counting_predict_probs)
+    stream, train, test, model = tiny_run_setup(n_classes=4, tasks=2)
+    gc.collect()
+    gc.disable()
+    try:
+        C.run_stream(stream, train, test, model, fast_config(flip_augment=flip),
+                     master_seed=3)
+    finally:
+        gc.enable()
+    assert len(live["train_forward"]) > 2 and len(live["evaluation"]) == 2
+    assert live == {"train_forward": [0] * len(live["train_forward"]), "evaluation": [0, 0]}

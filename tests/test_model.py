@@ -1,4 +1,5 @@
 """Tests for the incremental network: embeddings, attention blocks, classifier growth."""
+import dataclasses
 import json
 
 import numpy as np
@@ -367,6 +368,27 @@ def test_checkpoint_roundtrip(tmp_path):
                                   restored.forward_batch(images)[0].data)
     for name, tensor in model.parameters().items():
         np.testing.assert_array_equal(tensor.data, restored.parameters()[name].data)
+
+
+@pytest.mark.parametrize("classifier_input", ["feature", "feature_cls"])
+def test_checkpoint_bytes_equal_the_one_shot_json_form(tmp_path, classifier_input):
+    cfg = dataclasses.replace(MICRO, classifier_input=classifier_input)
+    model = make_model(n_classes=2, cfg=cfg, seed=53)
+    model.expand_classifier(3, np.random.default_rng(54))
+    path = tmp_path / "model.json"
+    model.save_checkpoint(path, task_index=2)
+    state = model.state_dict()
+    state["params"] = {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                       for name, arr in state["params"].items()}
+    one_shot = json.dumps({"format_version": 1, "task_index": 2, **state})
+    assert path.read_bytes() == one_shot.encode("utf-8")
+    restored, task_index = load_checkpoint(path)
+    assert task_index == 2 and restored.n_classes == 5 and restored.cfg == cfg
+    restored_params = restored.parameters()
+    assert list(restored_params) == list(model.parameters())
+    for name, tensor in model.parameters().items():
+        assert restored_params[name].data.shape == tensor.data.shape
+        assert restored_params[name].data.tobytes() == tensor.data.tobytes(), name
 
 
 @pytest.mark.parametrize("key", ["task_index", "n_classes", "config", "params", "depth"])
