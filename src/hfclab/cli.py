@@ -74,6 +74,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tolerance < float("inf"):
+        print(f"error: --tolerance must be finite and > 0, got {args.tolerance}", file=sys.stderr)
+        return 2
     results = run_all_checks()
     width = max(len(r.name) for r in results)
     offenders = []
@@ -163,9 +166,29 @@ def keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def run_blas_on_one_thread() -> None:
+    """Pin numpy's OpenBLAS (wheel or distro build) to one thread, over OPENBLAS_NUM_THREADS.
+    Its products here are too small to split: a second thread only spins, and a split
+    changes the summation order. Without OpenBLAS this does nothing."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    setters = [getattr(lib, s) for lib in libs for s in _OPENBLAS_SETTERS if hasattr(lib, s)]
+    if setters:
+        setters[0](1)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     keep_freed_memory()
+    run_blas_on_one_thread()
     return args.func(args)
 
 

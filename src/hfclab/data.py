@@ -184,6 +184,8 @@ def load_cifar100_binary(train_path: str | Path, test_path: str | Path) -> tuple
     datasets = []
     for path in (train_path, test_path):
         _, fine, pixels = read_label_records(path)
+        if missing := np.setdiff1d(np.arange(CIFAR_CLASSES), fine).tolist():
+            raise ValueError(f"{path}: no record has fine label {missing[0]}")
         datasets.append(Dataset(pixels.astype(np.float64) / 255.0,
                                 fine.astype(np.int64),
                                 CIFAR_CLASSES))

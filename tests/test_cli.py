@@ -1,5 +1,11 @@
 """Tests for config parsing and the command-line surface."""
+import ctypes
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +258,77 @@ def test_keep_freed_memory_sets_both_malloc_thresholds_or_nothing(monkeypatch):
     assert len(calls) == 2
 
 
+def loaded_openblas_threads():
+    """(getter, setter) of the thread count of the OpenBLAS this process has loaded."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    for lib in map(ctypes.CDLL, paths):
+        for setter in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, setter):
+                return getattr(lib, setter.replace("_set_", "_get_")), getattr(lib, setter)
+    return None
+
+
+def test_main_runs_openblas_on_one_thread(tmp_path):
+    threads = loaded_openblas_threads()
+    if threads is None:
+        pytest.skip("numpy has not loaded an OpenBLAS")
+    get_threads, set_threads = threads
+    set_threads(2)
+    assert cli.main(["compare", "--runs", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "c.csv")]) == 1
+    assert get_threads() == 1
+
+
+def test_run_blas_on_one_thread_calls_a_distro_setter_or_nothing(monkeypatch):
+    calls = []
+
+    class DistroOpenBLAS:
+        def openblas_set_num_threads(self, n):
+            calls.append(n)
+
+    maps = "7f00-7f80 r-xp 00000000 08:01 42 /usr/lib/libopenblas.so.0\n"
+    monkeypatch.setattr(cli, "open", lambda *a, **k: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: DistroOpenBLAS())
+    cli.run_blas_on_one_thread()
+    assert calls == [1]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())  # no setter
+    cli.run_blas_on_one_thread()
+    monkeypatch.setattr(cli, "open", lambda *a, **k: io.StringIO(""), raising=False)
+    cli.run_blas_on_one_thread()  # no OpenBLAS mapped
+    assert calls == [1]
+
+
+def test_cifar_metrics_do_not_depend_on_openblas_threads(tmp_path):
+    """100 classes at 32x32x3 with flips: the eval and teacher products are
+    large enough that a two-thread OpenBLAS splits them."""
+    from hfclab import data as D
+
+    rng = np.random.default_rng(3)
+    for split in ("train", "test"):
+        D.write_label_records(tmp_path / f"{split}.bin", np.zeros(100, np.uint8),
+                              rng.permutation(100).astype(np.uint8),
+                              rng.integers(0, 256, size=(100, 3, 32, 32), dtype=np.uint8))
+    config = write_config(tmp_path, {
+        "schema_version": 1,
+        "dataset": {"type": "cifar100", "train_path": str(tmp_path / "train.bin"),
+                    "test_path": str(tmp_path / "test.bin"), "horizontal_flip": True},
+        "stream": {"tasks": 2},
+        "trainer": {"memory_capacity": 100, "epochs_per_task": 1},
+    })
+    src = str(Path(cli.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "hfclab.cli", "train", "--config", str(config),
+                        "--out", str(out), "--seed", "7"], env=env, check=True,
+                       capture_output=True)
+        outputs.append((out / "metrics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # gradcheck command (op/block checks only here; the full sweep runs in
 # the acceptance suite)
@@ -281,9 +358,11 @@ def test_param_check_keeps_nan_error_of_a_later_parameter():
     assert np.isnan(GC.max_param_rel_err(loss_fn, {"a": a, "b": b}))
 
 
-def test_gradcheck_zero_tolerance_fails(monkeypatch, capsys):
-    monkeypatch.setattr(GC, "_loss_cases", lambda: [])
-    assert cli.main(["gradcheck", "--tolerance", "0"]) == 1
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_gradcheck_rejects_bad_tolerance_before_any_check(tolerance, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all_checks", lambda: pytest.fail("a check ran"))
+    assert cli.main(["gradcheck", "--tolerance", tolerance]) == 2
+    assert "--tolerance" in capsys.readouterr().err
 
 
 def test_gradcheck_names_corrupted_op(monkeypatch, capsys):

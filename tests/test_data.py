@@ -146,6 +146,22 @@ def test_loader_scales_pixels_and_uses_fine_labels(tmp_path):
     assert train.images[0, 0, 0, 0] == raw[2] / 255.0
 
 
+@pytest.mark.parametrize("missing_split, label", [("train", 10), ("test", 37)])
+def test_loader_names_the_file_and_first_missing_fine_label(tmp_path, missing_split, label):
+    paths = {}
+    for split in ("train", "test"):
+        blob = bytearray(class_complete_fixture(100, seed=4))
+        if split == missing_split:
+            for i in range(label, 100):  # leave only labels below `label`
+                blob[i * D.CIFAR_RECORD_BYTES + 1] = i % label
+        paths[split] = tmp_path / f"{split}.bin"
+        paths[split].write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as exc:
+        D.load_cifar100_binary(paths["train"], paths["test"])
+    assert str(paths[missing_split]) in str(exc.value)
+    assert f"fine label {label}" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # flat binary export
 
