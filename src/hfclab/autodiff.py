@@ -33,6 +33,7 @@ import numpy as np
 
 LOG_CLAMP = 1e-12
 LAYER_NORM_EPS = 1e-5
+FD_STEP = 1e-5  # central-difference step of the finite-difference oracle
 
 # gelu tanh approximation constants
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -63,10 +64,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     @property
     def grad(self) -> np.ndarray:
@@ -379,8 +376,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(data, (x, w, b), backward, "linear")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
-              heads: int = 1) -> tuple[Tensor, np.ndarray]:
+def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int = 1) -> Tensor:
     """Sample-local softmax(q kᵀ) v per head over `batch` consecutive row blocks.
 
     q is (batch*m, d); k is (batch*n, d) and v (batch*n, dv). Head h owns
@@ -390,8 +386,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
     the results bit-identical to them. Scores are formed per sample and head
     (no cross-sample attention), softmaxed with max-subtraction along the key
     axis, and applied to v; head outputs come back side by side as
-    (batch*m, dv). Also returns the detached probabilities, sample-major as
-    (batch*heads, m, n): entry b*heads + h is sample b, head h.
+    (batch*m, dv).
     """
     bm, d = q.data.shape
     bn, dk = k.data.shape
@@ -427,8 +422,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
         k._accumulate(merge(ds.transpose(0, 1, 3, 2) @ q4))
         v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ g4))
 
-    out = _result(merge(probs @ v4), (q, k, v), backward, "attention")
-    return out, probs.reshape(batch * heads, m, n)
+    return _result(merge(probs @ v4), (q, k, v), backward, "attention")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -450,7 +444,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(data, (a,), backward, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row over the last axis, then apply the affine map."""
     d = x.data.shape[-1]
     if d == 0:
@@ -463,7 +457,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     mu = x.data.sum(axis=-1, keepdims=True) / d
     centered = x.data - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
 
@@ -524,36 +518,32 @@ def backward(loss: Tensor) -> None:
 
 
 def _central_difference_error(evaluate: Callable[[], float], flat: np.ndarray,
-                              analytic: np.ndarray, step: float, floor: float) -> float:
+                              analytic: np.ndarray, floor: float) -> float:
     """Max relative error of `analytic` against central differences of evaluate().
 
-    Each entry of `flat` (which evaluate() reads) is bumped by +-step in place
-    and restored. The per-coordinate denominator is max(|analytic|, |numeric|,
-    floor).
+    Each entry of `flat` (which evaluate() reads) is bumped by +-FD_STEP in
+    place and restored. The per-coordinate denominator is max(|analytic|,
+    |numeric|, floor).
     """
     numeric = np.empty(flat.size)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         f_plus = evaluate()
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         f_minus = evaluate()
         flat[i] = orig
-        numeric[i] = (f_plus - f_minus) / (2.0 * step)
+        numeric[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor], x: np.ndarray, step: float = 1e-5
-) -> float:
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: np.ndarray) -> float:
     """Max relative error between the recorded gradient of f and central differences.
 
     f must be a pure map from one tensor to a scalar tensor. Relative error per
     coordinate uses denominator max(|analytic|, |numeric|, 1e-8).
     """
-    if step <= 0:
-        raise ValueError("finite_diff_check: step must be positive")
     x0 = np.asarray(x, dtype=np.float64)
 
     probe = Tensor(x0.copy(), requires_grad=True)
@@ -561,4 +551,4 @@ def finite_diff_check(
     backward(out)
     flat = x0.reshape(-1).copy()
     return _central_difference_error(lambda: f(Tensor(flat.reshape(x0.shape))).item(),
-                                     flat, probe.grad.reshape(-1), step, 1e-8)
+                                     flat, probe.grad.reshape(-1), 1e-8)

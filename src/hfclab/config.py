@@ -6,6 +6,7 @@ fail fast instead of silently falling back to defaults.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
@@ -64,11 +65,16 @@ _DATASETS = {"synthetic": SyntheticBlock, "cifar100": CifarBlock}
 _DERIVED = {"model": ("image_side", "channels"), "trainer": ("flip_augment", "loss")}
 # integer fields are counts and must be at least 1, except these
 _MAY_BE_ZERO = frozenset({"msa_blocks", "tsa_blocks", "memory_capacity", "per_class_quota"})
-_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean", dict: "object"}
+_TYPES = {int: "integer", str: "string", bool: "boolean", dict: "object"}
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A number that converts to a finite float (json.loads also yields NaN,
+    +-Infinity and integers too large for a float)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _take(block: dict, path: str, key: str, hint, default=MISSING):
@@ -85,10 +91,12 @@ def _take(block: dict, path: str, key: str, hint, default=MISSING):
         hint = get_args(hint)[0]
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
-            raise ConfigError(path, "expected a list of numbers")
+            raise ConfigError(path, "expected a list of finite numbers")
         return tuple(float(v) for v in value)
-    if hint is float and _is_number(value):
-        value = float(value)
+    if hint is float:
+        if not _is_number(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return float(value)
     if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
         raise ConfigError(path, f"expected {_TYPES[hint]}, got {value!r}")
     return value
@@ -146,9 +154,11 @@ def parse_config(raw: Any) -> RunConfig:
         if synthetic.side % model["patch_side"] != 0:
             raise ConfigError("$.dataset.side",
                               f"must be divisible by model patch_side {model['patch_side']}")
-        if synthetic.class_noise is not None and \
-                len(synthetic.class_noise) != synthetic.classes:
-            raise ConfigError("$.dataset.class_noise", f"need {synthetic.classes} entries")
+        if synthetic.class_noise is not None:
+            if len(synthetic.class_noise) != synthetic.classes:
+                raise ConfigError("$.dataset.class_noise", f"need {synthetic.classes} entries")
+            if min(synthetic.class_noise) < 0:
+                raise ConfigError("$.dataset.class_noise", "noise levels must be nonnegative")
     if stream.base_fraction not in (0.0, 0.5):
         raise ConfigError("$.stream.base_fraction", "must be 0.0 or 0.5")
     if trainer["memory_mode"] not in ("fixed_total", "per_class"):

@@ -130,9 +130,6 @@ class ExemplarMemory:
         if self.mode not in ("fixed_total", "per_class"):
             raise ValueError(f"unknown memory mode {self.mode!r}")
 
-    def total(self) -> int:
-        return sum(len(v) for v in self.store.values())
-
     def all_indices(self) -> list[int]:
         out: list[int] = []
         for cls in sorted(self.store):
@@ -219,6 +216,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("loss coefficients must be nonnegative")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
 
@@ -340,7 +339,7 @@ def _train_one_task(task_index, space, stream, train_set, train_labels, test_set
             if pool_probs is not None:
                 old_probs = pool_probs[rows]
             else:
-                old_probs = np.stack([old_model.predict(img)[0] for img in images])
+                old_probs = np.stack([old_model.predict(img) for img in images])
         batch = LS.BatchView(probs, labels, class_to_task, k_old, k_new, old_probs)
         loss = _batch_loss(batch, task_index, config)
         optimizer.zero_grad()

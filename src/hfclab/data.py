@@ -42,6 +42,8 @@ class Dataset:
             raise ValueError("labels and images disagree on sample count")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ValueError("label outside [0, n_classes)")
+        if self.n_classes > len(self.labels):
+            raise ValueError(f"{self.n_classes} classes but only {len(self.labels)} samples")
         counts = np.bincount(self.labels, minlength=self.n_classes)
         if np.any(counts == 0):
             raise ValueError("every class needs at least one sample")
@@ -56,9 +58,6 @@ class Dataset:
     @property
     def channels(self) -> int:
         return self.images.shape[1]
-
-    def indices_of_class(self, cls: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == cls)
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,10 @@ def load_dataset_binary(path: str | Path) -> Dataset:
     labels = np.frombuffer(raw, dtype="<u2", count=n, offset=24).astype(np.int64)
     pixels = np.frombuffer(raw, dtype=np.uint8, count=pixel_bytes, offset=24 + label_bytes)
     images = pixels.reshape(n, channels, side, side).astype(np.float64) / 255.0
-    return Dataset(images, labels, n_classes)
+    try:
+        return Dataset(images, labels, n_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +257,3 @@ def split_tasks(n_classes: int, tasks: int, base_fraction: float, seed: int) -> 
     else:
         raise ValueError(f"base_fraction must be 0.0 or 0.5, got {base_fraction}")
     return TaskStream(class_order=order, task_sizes=sizes)
-
-
-def nearest_template_accuracy(dataset: Dataset, spec: SyntheticSpec) -> float:
-    """1-NN against the class templates; the difficulty oracle for synthesis."""
-    templates = np.stack([class_template(spec, c).reshape(-1)
-                          for c in range(spec.n_classes)])
-    flat = dataset.images.reshape(len(dataset), -1)
-    dists = ((flat[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2)
-    return float((dists.argmin(axis=1) == dataset.labels).mean())

@@ -116,27 +116,20 @@ def _block_parameters(block, prefix: str) -> dict[str, Tensor]:
     return params
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int,
-            heads: int) -> tuple[Tensor, list[np.ndarray]]:
+def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
     """Multi-head sample-local attention over `batch` stacked samples.
 
     q, k and v are full-width projections; head h reads column block h. q is
-    scaled by 1/sqrt(head width). Returns the side-by-side head outputs and a
-    copy of each head's attention probabilities for the first sample, so the
-    diagnostics do not pin the whole batch's probabilities.
+    scaled by 1/sqrt(head width). Returns the side-by-side head outputs.
     """
-    q = ad.scale(q, 1.0 / math.sqrt(q.shape[1] // heads))
-    out, probs = ad.attention(q, k, v, batch, heads)
-    return out, list(probs[:heads].copy())
+    return ad.attention(ad.scale(q, 1.0 / math.sqrt(q.shape[1] // heads)), k, v, batch, heads)
 
 
 class SelfAttentionBlock:
     """Pre-normed multi-head self-attention with a residual MLP tail.
 
     The query/key/value projections are stored as full width-by-width
-    matrices; head h reads column block h inside one attention call. A copy
-    of the first sample's per-head attention probabilities of the last call
-    is kept for diagnostics.
+    matrices; head h reads column block h inside one attention call.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -149,14 +142,12 @@ class SelfAttentionBlock:
         self.w_o = _projection(rng, (d, d))
         self.norm2_gain, self.norm2_bias = _ones(d), _zeros(d)
         self.mlp = Mlp(d, cfg.mlp_ratio, rng)
-        self.last_attention: list[np.ndarray] = []
 
     def forward_rows(self, z: Tensor, batch: int) -> Tensor:
         """z holds `batch` samples stacked as consecutive row blocks."""
         zn = ad.layer_norm(z, self.norm1_gain, self.norm1_bias)
-        heads, self.last_attention = _attend(
-            ad.matmul(zn, self.w_q), ad.matmul(zn, self.w_k), ad.matmul(zn, self.w_v),
-            batch, self.cfg.heads)
+        heads = _attend(ad.matmul(zn, self.w_q), ad.matmul(zn, self.w_k),
+                        ad.matmul(zn, self.w_v), batch, self.cfg.heads)
         attended = ad.add(z, ad.matmul(heads, self.w_o))
         normed = ad.layer_norm(attended, self.norm2_gain, self.norm2_bias)
         return ad.add(attended, self.mlp(normed))
@@ -180,15 +171,13 @@ class AggregationBlock:
         self.v_o = _projection(rng, (d, d))
         self.norm2_gain, self.norm2_bias = _ones(d), _zeros(d)
         self.mlp = Mlp(d, cfg.mlp_ratio, rng)
-        self.last_attention: list[np.ndarray] = []
 
     def forward_rows(self, e: Tensor, z: Tensor, batch: int) -> Tensor:
         """e holds one query row per sample; z the stacked patch rows."""
         en = ad.layer_norm(e, self.normq_gain, self.normq_bias)
         zn = ad.layer_norm(z, self.normz_gain, self.normz_bias)
-        heads, self.last_attention = _attend(
-            ad.matmul(en, self.v_q), ad.matmul(zn, self.v_k), ad.matmul(zn, self.v_v),
-            batch, self.cfg.heads)
+        heads = _attend(ad.matmul(en, self.v_q), ad.matmul(zn, self.v_k),
+                        ad.matmul(zn, self.v_v), batch, self.cfg.heads)
         aggregated = ad.matmul(heads, self.v_o)
         normed = ad.layer_norm(aggregated, self.norm2_gain, self.norm2_bias)
         return ad.add(aggregated, self.mlp(normed))
@@ -273,11 +262,11 @@ class IncrementalModel:
         logits = ad.add(ad.sum_(prod, axis=2), self.cls_bias)
         return logits, e
 
-    def predict(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(softmax probabilities, feature) for one image; records no graph."""
+    def predict(self, image: np.ndarray) -> np.ndarray:
+        """Softmax probabilities for one image; records no graph."""
         with ad.no_grad():
-            logits, feature = self.forward_batch(image[np.newaxis])
-            return ad.softmax(logits, axis=1).data[0], feature.data[0]
+            logits, _ = self.forward_batch(image[np.newaxis])
+            return ad.softmax(logits, axis=1).data[0]
 
     # -- parameters ----------------------------------------------------------
 

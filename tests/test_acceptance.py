@@ -220,10 +220,10 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
     assert np.array_equal(frozen.task_embedding.data, e_end)
 
     # frozen old model is immutable under further training of the live model
-    frozen_before = frozen.predict(image)[0]
+    frozen_before = frozen.predict(image)
     for p in probe.parameters().values():
         p.data += 0.01
-    assert np.array_equal(frozen.predict(image)[0], frozen_before)
+    assert np.array_equal(frozen.predict(image), frozen_before)
     with capsys.disabled():
         report(4, "stream, memory, expansion, handoff, and snapshot invariants hold")
 

@@ -1,5 +1,6 @@
 """Tests for config parsing and the command-line surface."""
 import ctypes
+import hashlib
 import io
 import json
 import os
@@ -159,6 +160,15 @@ def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     ("trainer", "per_class_quota", -1, "$.trainer.per_class_quota"),
     ("trainer", "epochs_per_task", 0, "$.trainer.epochs_per_task"),
     ("trainer", "alpha1", -0.5, "$.trainer:"),
+    ("trainer", "learning_rate", -0.02, "$.trainer:"),
+    ("trainer", "learning_rate", 0.0, "$.trainer:"),
+    ("dataset", "class_noise", [0.05, -0.1, 0.05, 0.05], "$.dataset.class_noise:"),
+    # json.loads reads NaN and +-Infinity tokens; json.dumps writes them
+    ("trainer", "learning_rate", float("nan"), "$.trainer.learning_rate:"),
+    ("trainer", "alpha2", float("inf"), "$.trainer.alpha2:"),
+    ("trainer", "momentum", float("-inf"), "$.trainer.momentum:"),
+    ("dataset", "class_noise", [float("nan"), 0.05, 0.05, 0.05], "$.dataset.class_noise:"),
+    ("dataset", "class_noise", [0.05, float("inf"), 0.05, 0.05], "$.dataset.class_noise:"),
     ("model", "classifier_input", "pixels", "$.model:"),
     ("losses", "kl_direction", "sideways", "$.losses:"),
 ])
@@ -197,6 +207,19 @@ def test_train_out_under_a_regular_file_exits_2_before_training(tmp_path, capsys
     assert code == 2
     assert str(out) in capsys.readouterr().err
     assert not trained
+
+
+# metrics.csv of the demo config at seed 7. A refactor leaves it byte-identical;
+# a declared rounding change updates it and says so in CHANGES.md.
+DEMO_METRICS_SHA256 = "9282bee1d5b21be53544ea586fc1527a0f682fea3fb656ee5eedaa9370656d25"
+
+
+def test_demo_run_metrics_match_the_pinned_hash(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "synthetic-demo.json"
+    assert cli.main(["train", "--config", str(config), "--seed", "7",
+                     "--out", str(tmp_path / "out")]) == 0
+    metrics = (tmp_path / "out" / "metrics.csv").read_bytes()
+    assert hashlib.sha256(metrics).hexdigest() == DEMO_METRICS_SHA256
 
 
 def test_train_minimal_run_writes_reports(tmp_path):

@@ -180,7 +180,7 @@ def test_memory_quota_after_first_update():
     memory = C.ExemplarMemory(capacity=2000)
     memory.update(fake_features(range(20), 150), n_seen_classes=20)
     assert all(len(memory.store[c]) == 100 for c in range(20))
-    assert memory.total() == 2000
+    assert sum(map(len, memory.store.values())) == 2000
 
 
 def test_memory_requota_truncates_to_prefix():
@@ -191,14 +191,14 @@ def test_memory_requota_truncates_to_prefix():
     for c in range(20):
         assert memory.store[c] == before[c][:50]
     assert all(len(memory.store[c]) == 50 for c in range(40))
-    assert memory.total() <= 2000
+    assert sum(map(len, memory.store.values())) <= 2000
 
 
 def test_memory_caps_at_class_size():
     memory = C.ExemplarMemory(capacity=100)
     memory.update(fake_features(range(2), 10), n_seen_classes=2)
     assert all(len(memory.store[c]) == 10 for c in range(2))
-    assert memory.total() <= 100
+    assert sum(map(len, memory.store.values())) <= 100
 
 
 def test_memory_per_class_mode_keeps_old_lists():

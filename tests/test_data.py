@@ -12,6 +12,15 @@ def small_spec(**overrides):
     return D.SyntheticSpec(**base)
 
 
+def nearest_template_accuracy(dataset: D.Dataset, spec: D.SyntheticSpec) -> float:
+    """1-NN against the class templates; the difficulty oracle for synthesis."""
+    templates = np.stack([D.class_template(spec, c).reshape(-1)
+                          for c in range(spec.n_classes)])
+    flat = dataset.images.reshape(len(dataset), -1)
+    dists = ((flat[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2)
+    return float((dists.argmin(axis=1) == dataset.labels).mean())
+
+
 # ---------------------------------------------------------------------------
 # synthetic generation
 
@@ -21,7 +30,7 @@ def test_zero_noise_reproduces_template_exactly():
     ds = D.generate_synthetic(spec)
     for cls in range(spec.n_classes):
         template = D.class_template(spec, cls)
-        for i in ds.indices_of_class(cls):
+        for i in np.flatnonzero(ds.labels == cls):
             np.testing.assert_array_equal(ds.images[i], template)
 
 
@@ -42,7 +51,7 @@ def test_low_noise_classes_match_templates():
     spec = D.SyntheticSpec(n_classes=6, samples_per_class=10, side=16,
                            class_noise=(0.05,) * 6, seed=3)
     ds = D.generate_synthetic(spec)
-    assert D.nearest_template_accuracy(ds, spec) > 0.95
+    assert nearest_template_accuracy(ds, spec) > 0.95
 
 
 def test_difficulty_monotone_in_noise_on_average():
@@ -52,7 +61,7 @@ def test_difficulty_monotone_in_noise_on_average():
         for seed in (11, 12, 13):
             spec = D.SyntheticSpec(n_classes=6, samples_per_class=12, side=16,
                                    class_noise=(sigma,) * 6, seed=seed)
-            accs.append(D.nearest_template_accuracy(D.generate_synthetic(spec), spec))
+            accs.append(nearest_template_accuracy(D.generate_synthetic(spec), spec))
         means.append(np.mean(accs))
     assert means[0] >= means[1] >= means[2]
     assert means[0] > means[2]
@@ -178,6 +187,22 @@ def test_dataset_binary_roundtrip(tmp_path):
     path2 = tmp_path / "ds2.bin"
     D.save_dataset_binary(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("claimed, message", [
+    (2, "label outside"),
+    (5, "every class needs at least one sample"),
+    (25, "25 classes but only 24 samples"),
+])
+def test_dataset_binary_names_the_file_when_header_classes_disagree(tmp_path, claimed,
+                                                                   message):
+    path = tmp_path / "ds.bin"
+    D.save_dataset_binary(D.generate_synthetic(small_spec()), path)  # 4 classes, 24 samples
+    blob = bytearray(path.read_bytes())
+    blob[12:16] = claimed.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=rf"ds\.bin: .*{message}"):
+        D.load_dataset_binary(path)
 
 
 def test_dataset_binary_rejects_bad_magic(tmp_path):

@@ -27,6 +27,24 @@ def rand_image(cfg, seed=0):
     return np.random.default_rng(seed).uniform(size=(cfg.channels, cfg.image_side, cfg.image_side))
 
 
+def record_probabilities(monkeypatch) -> list[np.ndarray]:
+    """Make ad.attention also record its probabilities as (batch, heads, m, n):
+    the op applied to the same q and k with identity blocks as v returns them
+    bit for bit."""
+    recorded = []
+    attention = ad.attention
+
+    def recording_attention(q, k, v, batch, heads=1):
+        m, n = q.shape[0] // batch, k.shape[0] // batch
+        eye = ad.constant(np.tile(np.eye(n), (batch, heads)))
+        probs = attention(q, k, eye, batch, heads).data
+        recorded.append(probs.reshape(batch, m, heads, n).transpose(0, 2, 1, 3))
+        return attention(q, k, v, batch, heads)
+
+    monkeypatch.setattr(ad, "attention", recording_attention)
+    return recorded
+
+
 # ---------------------------------------------------------------------------
 # config and patch embedding
 
@@ -95,11 +113,13 @@ def test_embed_rejects_wrong_extent():
 # self-attention block
 
 
-def test_msa_attention_rows_sum_to_one():
+def test_msa_attention_rows_sum_to_one(monkeypatch):
+    recorded = record_probabilities(monkeypatch)
     block = SelfAttentionBlock(MICRO, np.random.default_rng(3))
     z = ad.constant(np.random.default_rng(4).normal(size=(5, 8)))
     block.forward_rows(z, 1)
-    for attn in block.last_attention:
+    [probs] = recorded
+    for attn in probs[0]:
         np.testing.assert_allclose(attn.sum(axis=1), np.ones(5), atol=1e-12)
 
 
@@ -136,14 +156,16 @@ def test_tsa_output_width_independent_of_sequence_length(n_rows):
     assert block.forward_rows(e, z, 1).shape == (1, 8)
 
 
-def test_tsa_uniform_attention_over_identical_rows():
+def test_tsa_uniform_attention_over_identical_rows(monkeypatch):
+    recorded = record_probabilities(monkeypatch)
     block = AggregationBlock(MICRO, np.random.default_rng(13))
     row = np.random.default_rng(14).normal(size=8)
     z = ad.constant(np.tile(row, (6, 1)))
     e1 = ad.constant(np.random.default_rng(15).normal(size=(1, 8)))
     e2 = ad.constant(np.random.default_rng(16).normal(size=(1, 8)))
     out1 = block.forward_rows(e1, z, 1)
-    for attn in block.last_attention:
+    [probs] = recorded
+    for attn in probs[0]:
         np.testing.assert_allclose(attn, np.full((1, 6), 1 / 6), atol=1e-12)
     out2 = block.forward_rows(e2, z, 1)
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
@@ -271,27 +293,6 @@ def test_backward_releases_non_leaf_gradients_and_keeps_parameter_gradients():
         assert p._grad is not None and np.array_equal(p.grad, kept[name]), name
 
 
-def test_last_attention_is_a_copy_of_the_first_sample(monkeypatch):
-    returned = []
-    attention = ad.attention
-
-    def recording_attention(*args, **kwargs):
-        out, probs = attention(*args, **kwargs)
-        returned.append(probs)
-        return out, probs
-
-    monkeypatch.setattr(ad, "attention", recording_attention)
-    model = make_model(n_classes=3)
-    model.forward_batch(np.random.default_rng(24).uniform(size=(4, 1, 8, 8)))
-    blocks = model.msa + model.tsa
-    assert len(returned) == len(blocks)
-    for block, probs in zip(blocks, returned):
-        assert len(block.last_attention) == MICRO.heads
-        for h, attn in enumerate(block.last_attention):
-            assert not np.shares_memory(attn, probs)
-            assert np.array_equal(attn, probs[h])
-
-
 # ---------------------------------------------------------------------------
 # classifier growth and snapshots
 
@@ -334,10 +335,10 @@ def test_snapshot_is_immutable_under_further_training():
     model = make_model(n_classes=3)
     image = rand_image(MICRO, seed=24)
     frozen = model.snapshot()
-    frozen_before, _ = frozen.predict(image)
+    frozen_before = frozen.predict(image)
     for p in model.parameters().values():
         p.data += 0.05
-    frozen_after, _ = frozen.predict(image)
+    frozen_after = frozen.predict(image)
     np.testing.assert_array_equal(frozen_before, frozen_after)
 
 
@@ -345,7 +346,7 @@ def test_snapshot_covers_exactly_old_classes_and_rows_sum_to_one():
     model = make_model(n_classes=3)
     frozen = model.snapshot()
     model.expand_classifier(2, np.random.default_rng(25))
-    probs, _ = frozen.predict(rand_image(MICRO, seed=26))
+    probs = frozen.predict(rand_image(MICRO, seed=26))
     assert probs.shape == (3,)
     assert abs(probs.sum() - 1.0) < 1e-12
 
