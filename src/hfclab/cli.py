@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import continual as C
 from . import data as D
-from .config import ConfigError, RunConfig, config_to_dict, parse_config
+from .config import ConfigError, RunConfig, _is_number, config_to_dict, parse_config
 from .gradcheck import run_all_checks
 from .model import IncrementalModel
 from .seeding import stream_rng, stream_seed
@@ -99,9 +99,11 @@ def cmd_compare(args) -> int:
         summary_path = Path(run_dir) / "summary.json"
         try:
             summary = json.loads(summary_path.read_text(encoding="utf-8"))
-            rows.append((Path(run_dir).name,
-                         float(summary["avg_incremental_acc"]),
-                         float(summary["fh"])))
+            acc, fh = summary["avg_incremental_acc"], summary["fh"]
+            if not (_is_number(acc) and _is_number(fh)):
+                raise ValueError(f"avg_incremental_acc {acc!r} and fh {fh!r} "
+                                 "must be finite numbers")
+            rows.append((Path(run_dir).name, float(acc), float(fh)))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: cannot read run {run_dir}: {exc}", file=sys.stderr)
             return 1

@@ -231,9 +231,9 @@ class TaskRecord:
     epoch_losses: list[float]
     abs_gradients: np.ndarray
     sample_tasks: np.ndarray
-    # running values over tasks 1..task_index, filled in by run_stream
-    avg_incremental: float = float("nan")
-    fh: float = float("nan")
+    # running values over tasks 1..task_index
+    avg_incremental: float
+    fh: float
 
 
 def run_stream(
@@ -272,24 +272,75 @@ def run_stream(
 
     old_model: IncrementalModel | None = None
     records: list[TaskRecord] = []
-    label_spaces = stream.label_spaces()
 
-    for task_index, space in enumerate(label_spaces):
+    for task_index, space in enumerate(stream.label_spaces()):
+        seen = stream.n_seen(task_index)
+        k_old = seen - len(space)
         try:
-            record = _train_one_task(
-                task_index, space, stream, train_set, train_labels, test_set,
-                test_labels, class_to_task, model, old_model, memory, config,
-                optimizer, batch_rng,
-            )
+            # the memory stays empty until the first task has been herded
+            pool = np.concatenate([np.flatnonzero(np.isin(train_labels, space)),
+                                   np.array(memory.all_indices(), dtype=np.int64)])
+            use_relation = task_index > 0 and config.alpha2 > 0
+            pool_probs: np.ndarray | None = None
+            if use_relation and not config.flip_augment:
+                # frozen teacher, fixed pool: predictions are constant for the task
+                pool_probs, _ = MT.predict_outputs(old_model, train_set.images[pool])
+
+            def train_step(rows: np.ndarray) -> float:
+                """One SGD step on pool[rows]; returns its loss. The step's graph, the
+                unused feature output included, is reachable only from these locals,
+                so it is freed on return, before the next step or evaluation starts."""
+                batch_idx = pool[rows]
+                images = train_set.images[batch_idx]
+                labels = train_labels[batch_idx]
+                if config.flip_augment:
+                    flips = batch_rng.random(len(images)) < 0.5
+                    images = images.copy()
+                    images[flips] = images[flips][..., ::-1]
+                logits, _ = model.forward_batch(images)
+                probs = ad.softmax(logits, axis=1)
+                old_probs = None
+                if use_relation:
+                    if pool_probs is not None:
+                        old_probs = pool_probs[rows]
+                    else:
+                        old_probs = np.stack([old_model.predict(img) for img in images])
+                batch = LS.BatchView(probs, labels, class_to_task, k_old, len(space), old_probs)
+                loss = _batch_loss(batch, task_index, config)
+                optimizer.zero_grad()
+                ad.backward(loss)
+                optimizer.step()
+                return loss.item()
+
+            epoch_losses: list[float] = []
+            for _ in range(config.epochs_per_task):
+                order = batch_rng.permutation(len(pool))
+                epoch_losses.append(float(np.mean([
+                    train_step(order[start:start + config.batch_size])
+                    for start in range(0, len(pool), config.batch_size)])))
+
+            eval_mask = test_labels < seen
+            eval_labels = test_labels[eval_mask]
+            probs = MT.predict_probs(model, test_set.images[eval_mask])
+            top1 = MT.top1_accuracy(probs, eval_labels)
+            per_class = MT.per_class_accuracy(probs, eval_labels)
+            abs_gradients = np.abs(probs[np.arange(len(eval_labels)), eval_labels] - 1.0)
+            sample_tasks = class_to_task[eval_labels]
         except Exception as exc:
             raise RuntimeError(f"task {task_index + 1} failed: {exc}") from exc
-        records.append(record)
-        record.avg_incremental = MT.average_incremental([r.top1 for r in records])
-        record.fh = MT.forgetting_heterogeneity(
-            [(r.abs_gradients, r.sample_tasks) for r in records])
+        records.append(TaskRecord(
+            task_index + 1, seen, top1, per_class, epoch_losses, abs_gradients, sample_tasks,
+            avg_incremental=MT.average_incremental([r.top1 for r in records] + [top1]),
+            fh=MT.forgetting_heterogeneity([(r.abs_gradients, r.sample_tasks) for r in records]
+                                           + [(abs_gradients, sample_tasks)]),
+        ))
 
-        new_class_features = _class_features(model, train_set, train_labels, space)
-        memory.update(new_class_features, stream.n_seen(task_index))
+        new_class_features = {}
+        for cls in space:
+            indices = np.flatnonzero(train_labels == cls)
+            _, features = MT.predict_outputs(model, train_set.images[indices])
+            new_class_features[cls] = (indices, features)
+        memory.update(new_class_features, seen)
         old_model = model.snapshot()
         if out_dir is not None:
             model.save_checkpoint(out_dir / f"task{task_index + 1}.ckpt.json", task_index + 1)
@@ -304,89 +355,11 @@ def run_stream(
     return records
 
 
-def _train_one_task(task_index, space, stream, train_set, train_labels, test_set,
-                    test_labels, class_to_task, model, old_model, memory, config,
-                    optimizer, batch_rng) -> TaskRecord:
-    k_new = len(space)
-    k_old = stream.n_seen(task_index) - k_new
-    task_pool = np.flatnonzero(np.isin(train_labels, space))
-    if task_index == 0:
-        pool = task_pool
-    else:
-        pool = np.concatenate([task_pool, np.array(memory.all_indices(), dtype=np.int64)])
-
-    use_relation = task_index > 0 and config.alpha2 > 0
-    pool_probs: np.ndarray | None = None
-    if use_relation and not config.flip_augment:
-        # frozen teacher, fixed pool: predictions are constant for the task
-        pool_probs, _ = MT.predict_outputs(old_model, train_set.images[pool])
-
-    def train_step(rows: np.ndarray) -> float:
-        """One SGD step on pool[rows]; returns its loss. The step's graph, the
-        unused feature output included, is reachable only from these locals,
-        so it is freed on return, before the next step or evaluation starts."""
-        batch_idx = pool[rows]
-        images = train_set.images[batch_idx]
-        labels = train_labels[batch_idx]
-        if config.flip_augment:
-            flips = batch_rng.random(len(images)) < 0.5
-            images = images.copy()
-            images[flips] = images[flips][..., ::-1]
-        logits, _ = model.forward_batch(images)
-        probs = ad.softmax(logits, axis=1)
-        old_probs = None
-        if use_relation:
-            if pool_probs is not None:
-                old_probs = pool_probs[rows]
-            else:
-                old_probs = np.stack([old_model.predict(img) for img in images])
-        batch = LS.BatchView(probs, labels, class_to_task, k_old, k_new, old_probs)
-        loss = _batch_loss(batch, task_index, config)
-        optimizer.zero_grad()
-        ad.backward(loss)
-        optimizer.step()
-        return loss.item()
-
-    epoch_losses: list[float] = []
-    for _ in range(config.epochs_per_task):
-        order = batch_rng.permutation(len(pool))
-        epoch_losses.append(float(np.mean([
-            train_step(order[start:start + config.batch_size])
-            for start in range(0, len(pool), config.batch_size)])))
-
-    seen = stream.n_seen(task_index)
-    eval_mask = test_labels < seen
-    eval_images = test_set.images[eval_mask]
-    eval_labels = test_labels[eval_mask]
-    probs = MT.predict_probs(model, eval_images)
-    top1 = MT.top1_accuracy(probs, eval_labels)
-    per_class = MT.per_class_accuracy(probs, eval_labels)
-    abs_gradients = np.abs(probs[np.arange(len(eval_labels)), eval_labels] - 1.0)
-    return TaskRecord(
-        task_index=task_index + 1,
-        seen_classes=seen,
-        top1=top1,
-        per_class_accuracy=per_class,
-        epoch_losses=epoch_losses,
-        abs_gradients=abs_gradients,
-        sample_tasks=class_to_task[eval_labels],
-    )
-
-
 def _batch_loss(batch: LS.BatchView, task_index: int, config: TrainerConfig):
     if task_index == 0:
         return LS.ce_loss(batch)
     return LS.objective(batch, None, config.alpha1, config.alpha2, config.loss,
                         config.uniform_weights)
-
-
-def _class_features(model, train_set, train_labels, space) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for cls in space:
-        indices = np.flatnonzero(train_labels == cls)
-        _, features = MT.predict_outputs(model, train_set.images[indices])
-        out[cls] = (indices, features)
-    return out
 
 
 # ---------------------------------------------------------------------------

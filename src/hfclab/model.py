@@ -364,6 +364,9 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
         if key not in payload:
             raise ValueError(f"checkpoint is missing {key!r}")
         _expect(payload[key], kind, key)
+    if payload["task_index"] < 1:
+        raise ValueError(f"checkpoint field 'task_index' must be at least 1, "
+                         f"got {payload['task_index']}")
     hints = get_type_hints(ModelConfig)
     for key in sorted(payload["config"]):
         if key not in hints:
@@ -378,4 +381,6 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
             params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint params entry {name!r} is malformed: {exc}") from None
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"checkpoint params entry {name!r} holds a non-finite value")
     return IncrementalModel.from_state_dict(dict(payload, params=params)), payload["task_index"]

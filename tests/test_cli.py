@@ -199,7 +199,7 @@ def test_train_out_under_a_regular_file_exits_2_before_training(tmp_path, capsys
     from hfclab import continual as C
 
     trained = []
-    monkeypatch.setattr(C, "_train_one_task", lambda *a, **k: trained.append(1))
+    monkeypatch.setattr(C.SgdOptimizer, "step", lambda self: trained.append(1))
     (tmp_path / "notadir").write_text("", encoding="utf-8")
     out = tmp_path / "notadir" / "run"
     code = cli.main(["train", "--config", str(write_config(tmp_path, minimal_config())),
@@ -209,9 +209,56 @@ def test_train_out_under_a_regular_file_exits_2_before_training(tmp_path, capsys
     assert not trained
 
 
+def test_evaluation_failure_at_task_2_exits_1_naming_the_task(tmp_path, capsys, monkeypatch):
+    """Evaluation runs inside the task's error scope."""
+    from hfclab import metrics as MT
+
+    predict_probs, evaluations = MT.predict_probs, []
+
+    def second_evaluation_fails(model, images):
+        evaluations.append(len(images))
+        if len(evaluations) == 2:
+            raise ValueError("injected evaluation failure")
+        return predict_probs(model, images)
+
+    monkeypatch.setattr(MT, "predict_probs", second_evaluation_fails)
+    code = cli.main(["train", "--config", str(write_config(tmp_path, minimal_config())),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "task 2 failed: injected evaluation failure" in capsys.readouterr().err
+
+
+def test_checkpoint_write_failure_at_task_2_exits_2_naming_out(tmp_path, capsys, monkeypatch):
+    """A checkpoint is written outside the task's error scope, so an OSError
+    from it is a report-writing failure, not a failed task."""
+    from hfclab.model import IncrementalModel
+
+    save_checkpoint = IncrementalModel.save_checkpoint
+
+    def task_2_write_fails(self, path, task_index):
+        if task_index == 2:
+            raise OSError("injected write failure")
+        save_checkpoint(self, path, task_index)
+
+    monkeypatch.setattr(IncrementalModel, "save_checkpoint", task_2_write_fails)
+    out = tmp_path / "out"
+    code = cli.main(["train", "--config", str(write_config(tmp_path, minimal_config())),
+                     "--out", str(out)])
+    assert code == 2
+    assert f"cannot write reports to {out}: injected write failure" in capsys.readouterr().err
+    assert (out / "task1.ckpt.json").is_file()
+
+
 # metrics.csv of the demo config at seed 7. A refactor leaves it byte-identical;
 # a declared rounding change updates it and says so in CHANGES.md.
 DEMO_METRICS_SHA256 = "9282bee1d5b21be53544ea586fc1527a0f682fea3fb656ee5eedaa9370656d25"
+# The checkpoints of that run: a refactor that moves the model's bytes but not
+# the metrics still changes these.
+DEMO_CHECKPOINT_SHA256 = {
+    "task1.ckpt.json": "b481a19ff4dca548dd4bce0aaa8da9679371a1381663e6f3719e2d0912fdf7ec",
+    "task2.ckpt.json": "a864e8a3d86450d5b6fca159cc3b8629962d08d5c32723596b4288d989f38154",
+    "task3.ckpt.json": "bde130079a73f0e4d11b432081db4262cdabb4f7d2f89597a0fe4620d282adb4",
+}
 
 
 def test_demo_run_metrics_match_the_pinned_hash(tmp_path):
@@ -220,6 +267,9 @@ def test_demo_run_metrics_match_the_pinned_hash(tmp_path):
                      "--out", str(tmp_path / "out")]) == 0
     metrics = (tmp_path / "out" / "metrics.csv").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == DEMO_METRICS_SHA256
+    checkpoints = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted((tmp_path / "out").glob("*.ckpt.json"))}
+    assert checkpoints == DEMO_CHECKPOINT_SHA256
 
 
 def test_train_minimal_run_writes_reports(tmp_path):
@@ -457,8 +507,15 @@ def test_compare_unreadable_run_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("summary", [[0.5, 0.01], {"avg_incremental_acc": None, "fh": 0.01}],
-                         ids=["list", "null-accuracy"])
+@pytest.mark.parametrize("summary", [
+    [0.5, 0.01],
+    {"avg_incremental_acc": None, "fh": 0.01},
+    {"avg_incremental_acc": "0.9", "fh": 0.01},
+    {"avg_incremental_acc": True, "fh": 0.01},
+    {"avg_incremental_acc": 0.5, "fh": float("nan")},  # json.dumps writes NaN, json.loads reads it
+    {"avg_incremental_acc": float("inf"), "fh": 0.01},
+], ids=["list", "null-accuracy", "string-accuracy", "bool-accuracy", "nan-fh",
+        "infinite-accuracy"])
 def test_compare_malformed_summary_exits_1(tmp_path, capsys, summary):
     run = tmp_path / "run"
     run.mkdir()

@@ -416,6 +416,13 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("params", "cls_token", "shape"), "x", "'cls_token'", id="shape-string"),
     pytest.param(("config", "heads"), 0, "heads", id="heads-zero"),
     pytest.param(("config", "patch_side"), 0, "patch_side", id="patch_side-zero"),
+    pytest.param(("task_index",), -3, "'task_index'", id="task_index-negative"),
+    pytest.param(("task_index",), 0, "'task_index'", id="task_index-zero"),
+    # classifier.bias has shape (3,); json.loads reads NaN and Infinity tokens
+    pytest.param(("params", "classifier.bias", "data"), [None, float("nan"), 0.0],
+                 "'classifier.bias'", id="bias-null-nan"),
+    pytest.param(("params", "classifier.bias", "data"), [0.0, float("inf"), 0.0],
+                 "'classifier.bias'", id="bias-infinity"),
 ])
 def test_checkpoint_wrongly_typed_field_is_named(tmp_path, path, value, named):
     file = tmp_path / "model.json"
