@@ -43,8 +43,6 @@ class TaskStream:
     def __post_init__(self):
         if sum(self.task_sizes) != len(self.class_order):
             raise ValueError("task sizes must cover the class order exactly")
-        if len(set(self.class_order)) != len(self.class_order):
-            raise ValueError("class order contains duplicates")
         if sorted(self.class_order) != list(range(len(self.class_order))):
             raise ValueError("class order must permute 0..n_classes-1")
 
@@ -175,18 +173,13 @@ class SgdOptimizer:
         self.params = dict(params)
         self.velocities = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def rebind(self, params: dict[str, ad.Tensor]) -> None:
-        """Track replaced tensors (e.g. classifier growth); reset velocity on shape change."""
-        self.params = dict(params)
-        for name, p in params.items():
-            if name not in self.velocities or self.velocities[name].shape != p.data.shape:
-                self.velocities[name] = np.zeros_like(p.data)
-
     def step(self) -> None:
         for name, p in self.params.items():
             grad = p.grad
             if not np.all(np.isfinite(grad)):
                 raise FloatingPointError(f"non-finite gradient in parameter {name}")
+            if self.velocities[name].shape != p.shape:  # the parameter grew in place
+                self.velocities[name] = np.zeros_like(p.data)
             sgd_step(p.data, grad, self.velocities[name], self.lr, self.momentum)
 
     def zero_grad(self) -> None:
@@ -346,7 +339,6 @@ def run_stream(
             model.save_checkpoint(out_dir / f"task{task_index + 1}.ckpt.json", task_index + 1)
         if task_index + 1 < stream.n_tasks:
             model.expand_classifier(stream.task_sizes[task_index + 1], expand_rng)
-            optimizer.rebind(model.parameters())
 
     if out_dir is not None:
         write_metrics_csv(out_dir / "metrics.csv", records)

@@ -16,6 +16,7 @@ under ``ad.no_grad()`` and records no graph.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -43,9 +44,11 @@ class ModelConfig:
     classifier_input: str = "feature"  # "feature" | "feature_cls"
 
     def __post_init__(self):
-        for name in ("heads", "patch_side"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("image_side", 1), ("channels", 1), ("patch_side", 1),
+                            ("embed_dim", 1), ("heads", 1), ("mlp_ratio", 1),
+                            ("msa_blocks", 0), ("tsa_blocks", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
@@ -295,51 +298,33 @@ class IncrementalModel:
         if k_new < 1:
             raise ValueError("expansion must add at least one class")
         new_rows = rng.normal(0.0, INIT_STD, size=(k_new, self.cfg.classifier_width))
-        self.cls_weight = ad.parameter(np.vstack([self.cls_weight.data, new_rows]))
-        self.cls_bias = ad.parameter(np.concatenate([self.cls_bias.data, np.zeros(k_new)]))
+        # in place, so an optimizer holding these tensors keeps tracking them; their
+        # gradients have the old shape and are dropped
+        self.cls_weight.data = np.vstack([self.cls_weight.data, new_rows])
+        self.cls_bias.data = np.concatenate([self.cls_bias.data, np.zeros(k_new)])
+        self.cls_weight._grad = self.cls_bias._grad = None
         self.n_classes += k_new
 
     def snapshot(self) -> "IncrementalModel":
         """Frozen deep copy; its parameters never join a gradient record."""
-        state = self.state_dict()
-        state["params"] = {name: arr.copy() for name, arr in state["params"].items()}
-        clone = IncrementalModel.from_state_dict(state)
+        clone = copy.deepcopy(self)
         clone.frozen = True
         for tensor in clone.parameters().values():
             tensor.requires_grad = False
+            tensor._grad = None
         return clone
 
     # -- persistence -----------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Class count, config, and the parameter arrays (not copied) by sorted name."""
-        return {"n_classes": self.n_classes, "config": asdict(self.cfg),
-                "params": {name: t.data for name, t in sorted(self.parameters().items())}}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "IncrementalModel":
-        """The model state_dict() describes; parameter names and shapes must match."""
-        model = cls(ModelConfig(**state["config"]), state["n_classes"],
-                    np.random.default_rng(0))  # structural init only; overwritten below
-        params = model.parameters()
-        if set(params) != set(state["params"]):
-            raise ValueError("checkpoint parameter names do not match the architecture")
-        for name, arr in state["params"].items():
-            if arr.shape != params[name].data.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}")
-            params[name].data = arr
-        return model
-
     def save_checkpoint(self, path: str | Path, task_index: int) -> None:
         """Write the bytes of json.dumps(payload), one parameter at a time, so the
         float lists and the text of the whole payload are never in memory at once."""
-        state = self.state_dict()
-        params = state.pop("params")
-        head = json.dumps({"format_version": 1, "task_index": task_index, **state})
+        head = json.dumps({"format_version": 1, "task_index": task_index,
+                           "n_classes": self.n_classes, "config": asdict(self.cfg)})
         with open(path, "w", encoding="utf-8") as out:
             out.write(head[:-1] + ', "params": {')
-            for i, (name, arr) in enumerate(params.items()):
-                entry = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+            for i, (name, tensor) in enumerate(sorted(self.parameters().items())):
+                entry = {"shape": list(tensor.shape), "data": tensor.data.reshape(-1).tolist()}
                 out.write((", " if i else "") + f"{json.dumps(name)}: {json.dumps(entry)}")
             out.write("}}")
 
@@ -368,9 +353,11 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
         raise ValueError(f"checkpoint field 'task_index' must be at least 1, "
                          f"got {payload['task_index']}")
     hints = get_type_hints(ModelConfig)
-    for key in sorted(payload["config"]):
+    for key in sorted(payload["config"].keys() | hints.keys()):
         if key not in hints:
             raise ValueError(f"checkpoint config has unknown key {key!r}")
+        if key not in payload["config"]:
+            raise ValueError(f"checkpoint config is missing {key!r}")
         _expect(payload["config"][key], hints[key], f"config.{key}")
     params = {}
     for name, entry in payload["params"].items():
@@ -383,4 +370,13 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
             raise ValueError(f"checkpoint params entry {name!r} is malformed: {exc}") from None
         if not np.isfinite(params[name]).all():
             raise ValueError(f"checkpoint params entry {name!r} holds a non-finite value")
-    return IncrementalModel.from_state_dict(dict(payload, params=params)), payload["task_index"]
+    model = IncrementalModel(ModelConfig(**payload["config"]), payload["n_classes"],
+                             np.random.default_rng(0))  # structural init only; overwritten below
+    model_params = model.parameters()
+    if set(model_params) != set(params):
+        raise ValueError("checkpoint parameter names do not match the architecture")
+    for name, arr in params.items():
+        if arr.shape != model_params[name].shape:
+            raise ValueError(f"checkpoint shape mismatch for {name}")
+        model_params[name].data = arr
+    return model, payload["task_index"]

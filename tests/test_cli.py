@@ -272,6 +272,38 @@ def test_demo_run_metrics_match_the_pinned_hash(tmp_path):
     assert checkpoints == DEMO_CHECKPOINT_SHA256
 
 
+# metrics.csv and last checkpoint of a CIFAR-shaped run with flips at seed 7:
+# three classifier growths, each later task with a per-image flip teacher. The
+# batched flip teacher of ROADMAP item 1 is a declared rounding change and
+# updates both hashes.
+CIFAR_FLIP_SHA256 = {
+    "metrics.csv": "2ef528ef718daf156bf96a7ac51d36c7429cedd630346b7b5dd3d7d1561ddea3",
+    "task4.ckpt.json": "f9e31a820137d7551673ab0b8b5206745bafa9fbc1a554ba0bee14bd39a01214",
+}
+
+
+def test_cifar_flip_run_matches_the_pinned_hashes(tmp_path):
+    from hfclab import data as D
+
+    rng = np.random.default_rng(13)
+    for split, per_class in (("train", 2), ("test", 1)):
+        fine = rng.permutation(np.repeat(np.arange(100), per_class)).astype(np.uint8)
+        D.write_label_records(tmp_path / f"{split}.bin", fine // 5, fine,
+                              rng.integers(0, 256, size=(len(fine), 3, 32, 32), dtype=np.uint8))
+    config = write_config(tmp_path, {
+        "schema_version": 1,
+        "dataset": {"type": "cifar100", "train_path": str(tmp_path / "train.bin"),
+                    "test_path": str(tmp_path / "test.bin"), "horizontal_flip": True},
+        "stream": {"tasks": 4},
+        "model": {"patch_side": 8, "embed_dim": 16, "heads": 2, "msa_blocks": 1},
+        "trainer": {"memory_capacity": 40, "epochs_per_task": 1},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in CIFAR_FLIP_SHA256} == CIFAR_FLIP_SHA256
+
+
 def test_train_minimal_run_writes_reports(tmp_path):
     code = cli.main(["train", "--config", str(write_config(tmp_path, minimal_config())),
                      "--out", str(tmp_path / "out"), "--seed", "5"])

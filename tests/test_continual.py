@@ -102,13 +102,29 @@ def test_optimizer_rejects_non_finite_gradient():
         opt.step()
 
 
-def test_optimizer_rebind_resets_velocity_on_shape_change():
-    t = Tensor(np.ones(2), requires_grad=True)
-    opt = C.SgdOptimizer({"p": t}, lr=0.1, momentum=0.9)
-    opt.velocities["p"][:] = 5.0
-    grown = Tensor(np.ones(3), requires_grad=True)
-    opt.rebind({"p": grown})
-    np.testing.assert_array_equal(opt.velocities["p"], np.zeros(3))
+def test_optimizer_follows_classifier_growth_and_restarts_only_its_velocity():
+    _, _, _, model = tiny_run_setup()
+    params = model.parameters()
+    opt = C.SgdOptimizer(params, lr=0.1, momentum=0.9)
+    for velocity in opt.velocities.values():
+        velocity[:] = 5.0
+    kept = {name: velocity.copy() for name, velocity in opt.velocities.items()}
+    images = np.random.default_rng(1).uniform(size=(2, 1, 8, 8))
+    ad.backward(ad.sum_(model.forward_batch(images)[0]))
+    model.expand_classifier(2, np.random.default_rng(0))
+    grown = model.parameters()
+    assert grown.keys() == params.keys()
+    assert all(grown[name] is params[name] for name in params)
+    assert grown["classifier.weight"]._grad is None and grown["classifier.bias"]._grad is None
+    opt.zero_grad()
+    ad.backward(ad.sum_(model.forward_batch(images)[0]))
+    opt.step()
+    for name, p in grown.items():
+        assert opt.velocities[name].shape == p.shape, name
+        if name.startswith("classifier."):  # grew: restarts from zero, so v = 0.9 * 0 + g
+            np.testing.assert_array_equal(opt.velocities[name], p.grad)
+        else:
+            np.testing.assert_array_equal(opt.velocities[name], 0.9 * kept[name] + p.grad)
 
 
 # ---------------------------------------------------------------------------

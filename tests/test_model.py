@@ -351,6 +351,21 @@ def test_snapshot_covers_exactly_old_classes_and_rows_sum_to_one():
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
+def test_snapshot_holds_detached_copies_that_keep_their_shape():
+    model = make_model(n_classes=3)
+    ad.backward(ad.sum_(model.forward_batch(rand_image(MICRO, seed=27)[np.newaxis])[0]))
+    live = model.parameters()
+    assert all(t._grad is not None for t in live.values())
+    frozen = model.snapshot()
+    for name, tensor in frozen.parameters().items():
+        assert not tensor.requires_grad and tensor._grad is None, name
+        assert not np.shares_memory(tensor.data, live[name].data), name
+        np.testing.assert_array_equal(tensor.data, live[name].data)
+    model.expand_classifier(2, np.random.default_rng(28))
+    assert frozen.n_classes == 3 and frozen.cls_bias.shape == (3,)
+    assert frozen.cls_weight.shape == (3, MICRO.classifier_width)
+
+
 def test_snapshot_refuses_expansion():
     frozen = make_model().snapshot()
     with pytest.raises(RuntimeError):
@@ -378,10 +393,10 @@ def test_checkpoint_bytes_equal_the_one_shot_json_form(tmp_path, classifier_inpu
     model.expand_classifier(3, np.random.default_rng(54))
     path = tmp_path / "model.json"
     model.save_checkpoint(path, task_index=2)
-    state = model.state_dict()
-    state["params"] = {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-                       for name, arr in state["params"].items()}
-    one_shot = json.dumps({"format_version": 1, "task_index": 2, **state})
+    params = {name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
+              for name, t in sorted(model.parameters().items())}
+    one_shot = json.dumps({"format_version": 1, "task_index": 2, "n_classes": model.n_classes,
+                           "config": dataclasses.asdict(cfg), "params": params})
     assert path.read_bytes() == one_shot.encode("utf-8")
     restored, task_index = load_checkpoint(path)
     assert task_index == 2 and restored.n_classes == 5 and restored.cfg == cfg
@@ -392,13 +407,16 @@ def test_checkpoint_bytes_equal_the_one_shot_json_form(tmp_path, classifier_inpu
         assert restored_params[name].data.tobytes() == tensor.data.tobytes(), name
 
 
-@pytest.mark.parametrize("key", ["task_index", "n_classes", "config", "params", "depth"])
+@pytest.mark.parametrize("key", ["task_index", "n_classes", "config", "params", "depth",
+                                 "heads"])
 def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     path = tmp_path / "model.json"
     make_model().save_checkpoint(path, task_index=1)
     payload = json.loads(path.read_text())
     if key == "depth":
         payload["config"]["depth"] = 3
+    elif key == "heads":  # 2 in MICRO, 4 by default; no parameter shape depends on it
+        del payload["config"]["heads"]
     else:
         del payload[key]
     path.write_text(json.dumps(payload))
@@ -416,6 +434,14 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("params", "cls_token", "shape"), "x", "'cls_token'", id="shape-string"),
     pytest.param(("config", "heads"), 0, "heads", id="heads-zero"),
     pytest.param(("config", "patch_side"), 0, "patch_side", id="patch_side-zero"),
+    # out-of-range counts: ModelConfig names them before the model divides by or builds from them
+    pytest.param(("config", "embed_dim"), 0, "embed_dim", id="embed_dim-zero"),
+    pytest.param(("config", "channels"), 0, "channels", id="channels-zero"),
+    pytest.param(("config", "mlp_ratio"), 0, "mlp_ratio", id="mlp_ratio-zero"),
+    pytest.param(("config", "image_side"), 0, "image_side", id="image_side-zero"),
+    pytest.param(("config", "channels"), -1, "channels", id="channels-negative"),
+    pytest.param(("config", "msa_blocks"), -1, "msa_blocks", id="msa_blocks-negative"),
+    pytest.param(("config", "tsa_blocks"), -1, "tsa_blocks", id="tsa_blocks-negative"),
     pytest.param(("task_index",), -3, "'task_index'", id="task_index-negative"),
     pytest.param(("task_index",), 0, "'task_index'", id="task_index-zero"),
     # classifier.bias has shape (3,); json.loads reads NaN and Infinity tokens
