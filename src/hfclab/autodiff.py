@@ -76,13 +76,16 @@ class Tensor:
     def zero_grad(self) -> None:
         self._grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g to the gradient. owned=True: g is a fresh array nothing else holds,
+        so it is kept uncopied; a shared g or a view of one must pass owned=False."""
         if not self.requires_grad:
             return  # constants (masks, targets, averaging matrices) keep no gradient
         if self._grad is None:
-            self._grad = np.array(g, dtype=np.float64, copy=True)
+            # asarray: a ufunc on 0-d operands returns a numpy scalar, not an array
+            self._grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
         else:
-            self._grad += g  # safe: _grad is always an owned copy
+            self._grad += g  # safe: _grad is always owned by this tensor
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -159,8 +162,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
+        b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _result(data, (a, b), backward, "mul")
 
@@ -172,8 +175,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g / b.data, a.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
+        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return _result(data, (a, b), backward, "div")
 
@@ -182,7 +185,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * c)
+        a._accumulate(g * c, owned=True)
 
     return _result(a.data * c, (a,), backward, "scale")
 
@@ -202,7 +205,7 @@ def log(a: Tensor) -> Tensor:
     active = a.data > LOG_CLAMP
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.where(active, g / clamped, 0.0))
+        a._accumulate(np.where(active, g / clamped, 0.0), owned=True)
 
     return _result(np.log(clamped), (a,), backward, "log")
 
@@ -211,7 +214,7 @@ def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * data)
+        a._accumulate(g * data, owned=True)
 
     return _result(data, (a,), backward, "exp")
 
@@ -223,7 +226,7 @@ def power(a: Tensor, p: float) -> Tensor:
     data = base**p
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * p * base ** (p - 1.0))
+        a._accumulate(g * p * base ** (p - 1.0), owned=True)
 
     return _result(data, (a,), backward, "power")
 
@@ -231,14 +234,34 @@ def power(a: Tensor, p: float) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Tanh-approximated gelu: 0.5x(1 + tanh(c(x + 0.044715x^3)))."""
     x = a.data
-    t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * (x * x)))
-    data = 0.5 * x * (1.0 + t)
+    if x.ndim == 0:  # out= needs array operands, and products of 0-d arrays are scalars
+        return reshape(gelu(reshape(a, (1,))), ())
+    # in-place ufuncs with the products of tanh((C*x) * (1 + 0.044715*(x*x))) and
+    # (0.5*x) * (1 + t); only t is kept for the backward pass
+    t = x * x
+    t *= 0.044715
+    t += 1.0
+    t *= _GELU_C * x
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= 0.5 * x
 
     def backward(g: np.ndarray) -> None:
-        # x*x is recomputed rather than kept alive between forward and backward
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        a._accumulate(g * local)
+        # g * (0.5*(1+t) + ((0.5*x)*(1-t*t)) * dinner), dinner = C*(1 + 3*0.044715*(x*x)),
+        # in two buffers; x*x is recomputed rather than kept alive since the forward pass
+        dinner = x * x
+        dinner *= 3.0 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= 0.5 * x
+        slope *= dinner
+        np.add(t, 1.0, out=dinner)
+        dinner *= 0.5
+        dinner += slope
+        dinner *= g
+        a._accumulate(dinner, owned=True)
 
     return _result(data, (a,), backward, "gelu")
 
@@ -282,7 +305,7 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> list[Tensor]:
         def backward(g: np.ndarray, idx_t=idx_t) -> None:
             full = np.zeros_like(a.data)
             full[idx_t] = g
-            a._accumulate(full)
+            a._accumulate(full, owned=True)
 
         outs.append(_result(a.data[idx_t].copy(), (a,), backward, "split"))
         lo = hi
@@ -317,7 +340,7 @@ def tile_rows(a: Tensor, reps: int) -> Tensor:
         raise ShapeError(f"tile_rows: expected a matrix, got shape {a.shape}")
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g.reshape(reps, *a.shape).sum(axis=0))
+        a._accumulate(g.reshape(reps, *a.shape).sum(axis=0), owned=True)
 
     return _result(np.tile(a.data, (reps, 1)), (a,), backward, "tile_rows")
 
@@ -327,9 +350,9 @@ def sum_(a: Tensor, axis: int | None = None) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if axis is None:
-            a._accumulate(np.full_like(a.data, float(g)))
+            a._accumulate(np.full_like(a.data, float(g)), owned=True)
         else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(), owned=True)
 
     return _result(data, (a,), backward, "sum")
 
@@ -349,8 +372,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        a._accumulate(g @ b.data.T, owned=True)
+        b._accumulate(a.data.T @ g, owned=True)
 
     return _result(data, (a, b), backward, "matmul")
 
@@ -369,9 +392,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        w._accumulate(x.data.T @ g)
-        b._accumulate(g.sum(axis=0))
+            x._accumulate(g @ w.data.T, owned=True)
+        w._accumulate(x.data.T @ g, owned=True)
+        b._accumulate(g.sum(axis=0), owned=True)
 
     return _result(data, (x, w, b), backward, "linear")
 
@@ -407,7 +430,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int = 1) -> Te
 
     q4, k4, v4 = per_head(q.data, m), per_head(k.data, n), per_head(v.data, n)
     scores = q4 @ k4.transpose(0, 1, 3, 2)
-    if not np.all(np.isfinite(scores)):
+    # one reduction when finite; a sum of finite scores can overflow, so recheck
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = scores.sum()
+    if not np.isfinite(total) and not np.isfinite(scores).all():
         raise ValueError("attention: scores contain non-finite values")
     scores -= scores.max(axis=3, keepdims=True)
     np.exp(scores, out=scores)
@@ -417,17 +443,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int = 1) -> Te
     def backward(g: np.ndarray) -> None:
         g4 = per_head(g, m)
         da = g4 @ v4.transpose(0, 1, 3, 2)
-        ds = probs * (da - (da * probs).sum(axis=3, keepdims=True))
-        q._accumulate(merge(ds @ k4))
-        k._accumulate(merge(ds.transpose(0, 1, 3, 2) @ q4))
-        v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ g4))
+        # ds = probs * (da - sum(da * probs)), built in da's buffer
+        da -= (da * probs).sum(axis=3, keepdims=True)
+        da *= probs
+        q._accumulate(merge(da @ k4), owned=True)
+        k._accumulate(merge(da.transpose(0, 1, 3, 2) @ q4), owned=True)
+        v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ g4), owned=True)
 
     return _result(merge(probs @ v4), (q, k, v), backward, "attention")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along one axis; rejects non-finite input."""
-    if not np.all(np.isfinite(a.data)):
+    if not np.isfinite(a.data).all():
         raise ValueError("softmax: input contains non-finite values")
     ax = axis if axis >= 0 else a.data.ndim + axis
     if ax < 0 or ax >= a.data.ndim:
@@ -439,7 +467,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         # d/dx softmax: s * (g - sum(g * s)) along the axis
         dot = (g * data).sum(axis=ax, keepdims=True)
-        a._accumulate(data * (g - dot))
+        a._accumulate(data * (g - dot), owned=True)
 
     return _result(data, (a,), backward, "softmax")
 
@@ -455,21 +483,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     # sum / d is the arithmetic np.mean does, without its Python-level wrapper
     mu = x.data.sum(axis=-1, keepdims=True) / d
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    data = xhat * xhat
+    var = data.sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
+    xhat *= inv_std
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def backward(g: np.ndarray) -> None:
+        # classic per-row layer-norm gradient, built in gy's buffer:
+        # inv_std * ((gy - sum(gy)/d) - xhat * (sum(gy * xhat)/d))
         gy = g * gain.data
-        # classic per-row layer-norm gradient
-        dx = inv_std * (gy - gy.sum(axis=-1, keepdims=True) / d
-                        - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d))
-        x._accumulate(dx)
+        scratch = gy * xhat
+        dot = scratch.sum(axis=-1, keepdims=True) / d
+        gy -= gy.sum(axis=-1, keepdims=True) / d
+        np.multiply(xhat, dot, out=scratch)
+        gy -= scratch
+        gy *= inv_std
+        x._accumulate(gy, owned=True)
         reduce_axes = tuple(range(g.ndim - 1))
-        gain._accumulate((g * xhat).sum(axis=reduce_axes))
-        bias._accumulate(g.sum(axis=reduce_axes))
+        np.multiply(g, xhat, out=scratch)
+        gain._accumulate(scratch.sum(axis=reduce_axes), owned=True)
+        bias._accumulate(g.sum(axis=reduce_axes), owned=True)
 
     return _result(data, (x, gain, bias), backward, "layer_norm")
 

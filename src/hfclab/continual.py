@@ -176,7 +176,7 @@ class SgdOptimizer:
     def step(self) -> None:
         for name, p in self.params.items():
             grad = p.grad
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 raise FloatingPointError(f"non-finite gradient in parameter {name}")
             if self.velocities[name].shape != p.shape:  # the parameter grew in place
                 self.velocities[name] = np.zeros_like(p.data)

@@ -349,9 +349,9 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
         if key not in payload:
             raise ValueError(f"checkpoint is missing {key!r}")
         _expect(payload[key], kind, key)
-    if payload["task_index"] < 1:
-        raise ValueError(f"checkpoint field 'task_index' must be at least 1, "
-                         f"got {payload['task_index']}")
+    for key in ("task_index", "n_classes"):
+        if payload[key] < 1:
+            raise ValueError(f"checkpoint field {key!r} must be at least 1, got {payload[key]}")
     hints = get_type_hints(ModelConfig)
     for key in sorted(payload["config"].keys() | hints.keys()):
         if key not in hints:

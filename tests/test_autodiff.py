@@ -307,6 +307,69 @@ def test_attention_rejects_bad_shapes():
                      Tensor(np.zeros((6, 6))), batch=2, heads=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("operand", ["q", "k"])
+def test_attention_rejects_a_single_non_finite_score(operand, bad):
+    rng = rng_for("attn_nonfinite")
+    arrays = {"q": rng.normal(size=(4, 3)), "k": rng.normal(size=(6, 3))}
+    arrays[operand][1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ad.attention(Tensor(arrays["q"]), Tensor(arrays["k"]), Tensor(np.ones((6, 3))), batch=2)
+
+
+def test_attention_accepts_finite_scores_whose_sum_overflows():
+    q = np.zeros((4, 2))
+    k = np.zeros((6, 2))
+    q[:, 0], k[:, 0] = 1.2e154, np.linspace(0.9e154, 1.2e154, 6)
+    scores = q[:2] @ k[:3].T
+    with np.errstate(over="ignore"):
+        assert np.isfinite(scores).all() and np.isinf(scores.sum())
+    out = ad.attention(Tensor(q), Tensor(k), identity_values(2, 3), batch=2)
+    assert np.isfinite(out.data).all()
+    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4), atol=1e-12)
+
+
+def test_attention_value_and_gradients_match_the_ds_formula():
+    # transcription of the op with ds = probs * (da - sum(da * probs)) as one expression
+    rng = rng_for("attention_bits")
+    batch, heads, m, n, d = 3, 2, 4, 5, 8
+    q0, k0, v0, sel = (rng.normal(size=(batch * rows, d)) for rows in (m, n, n, m))
+
+    def per_head(x, rows):
+        return np.ascontiguousarray(x.reshape(batch, rows, heads, -1).transpose(0, 2, 1, 3))
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(batch * x.shape[2], -1)
+
+    q4, k4, v4, g4 = per_head(q0, m), per_head(k0, n), per_head(v0, n), per_head(sel, m)
+    scores = q4 @ k4.transpose(0, 1, 3, 2)
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    probs = e / e.sum(axis=3, keepdims=True)
+    da = g4 @ v4.transpose(0, 1, 3, 2)
+    ds = probs * (da - (da * probs).sum(axis=3, keepdims=True))
+    want = [merge(ds @ k4), merge(ds.transpose(0, 1, 3, 2) @ q4),
+            merge(probs.transpose(0, 1, 3, 2) @ g4)]
+    q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+    out = ad.attention(q, k, v, batch, heads)
+    ad.backward(ad.sum_(ad.mul(out, ad.constant(sel))))
+    assert np.array_equal(out.data, merge(probs @ v4))
+    for t, expected in zip((q, k, v), want):
+        assert np.array_equal(t.grad, expected)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_value_and_gradient_match_the_formula(axis):
+    rng = rng_for(f"softmax_bits{axis}")
+    x0, sel = rng.normal(size=(6, 5)) * 3.0, rng.normal(size=(6, 5))
+    e = np.exp(x0 - x0.max(axis=axis, keepdims=True))
+    data = e / e.sum(axis=axis, keepdims=True)
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = ad.softmax(x, axis=axis)
+    ad.backward(ad.sum_(ad.mul(out, ad.constant(sel))))
+    assert np.array_equal(out.data, data)
+    assert np.array_equal(x.grad, data * (sel - (sel * data).sum(axis=axis, keepdims=True)))
+
+
 def per_head_attention(q, k, v, batch, heads):
     """Reference path: split columns per head, single-head attention, concat."""
     qs, ks, vs = (ad.split(t, [t.shape[1] // heads] * heads, axis=1) for t in (q, k, v))
@@ -384,6 +447,18 @@ def test_gelu_value_and_gradient_match_the_stored_square_formula():
     assert np.array_equal(x.grad, sel * local)
 
 
+def test_0d_tensors_get_array_gradients_and_gelu_accepts_them():
+    s = Tensor(np.array(2.0), requires_grad=True)
+    ad.backward(ad.scale(s, 3.0))
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 3.0
+    x, row = Tensor(np.array(0.5), requires_grad=True), Tensor([0.5], requires_grad=True)
+    out = ad.gelu(x)
+    ad.backward(out)
+    ad.backward(ad.sum_(ad.gelu(row)))
+    assert out.shape == () and out.data == ad.gelu(Tensor([0.5])).data[0]
+    assert isinstance(x.grad, np.ndarray) and x.grad.shape == () and x.grad == row.grad[0]
+
+
 def test_layer_norm_matches_the_np_mean_formula():
     rng = rng_for("layer_norm_bits")
     x0, gain0, bias0, sel = (rng.normal(size=s) for s in ((64, 7), (7,), (7,), (64, 7)))
@@ -429,6 +504,7 @@ PASS_THROUGH = {
               lambda g: np.vstack([g, np.zeros((1, 3))])),
     "concat": (lambda t: ad.concat([t, ad.constant(np.ones((1, 3)))], axis=0),
                lambda g: g[:2]),
+    "transpose": (ad.transpose, lambda g: g.T),
 }
 
 
@@ -448,6 +524,34 @@ def test_reused_input_of_a_gradient_passing_op_gets_exact_gradients(name, reuse_
     ad.backward(ad.add(reuse, through) if reuse_first else ad.add(through, reuse))
     assert np.array_equal(z.grad, c1)
     assert np.array_equal(x.grad, route(c1) + c2)
+
+
+# ops whose closures hand on fresh arrays (owned gradients), with an input used twice
+
+
+def test_mul_and_matmul_of_a_tensor_with_itself_get_exact_gradients():
+    rng = rng_for("alias_self")
+    x0, c = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    x = Tensor(x0.copy(), requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(ad.mul(x, x), ad.constant(c))))
+    assert np.array_equal(x.grad, c * x0 + c * x0)
+    a = Tensor(x0.copy(), requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(ad.matmul(a, a), ad.constant(c))))
+    assert np.array_equal(a.grad, c @ x0.T + x0.T @ c)
+
+
+@pytest.mark.parametrize("reuse_first", [False, True])
+def test_linear_input_used_elsewhere_gets_exact_gradients(reuse_first):
+    rng = rng_for("alias_linear")
+    x0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+    c1, c2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
+    x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+    through = ad.sum_(ad.mul(ad.linear(x, w, b), ad.constant(c1)))
+    reuse = ad.sum_(ad.mul(x, ad.constant(c2)))
+    ad.backward(ad.add(reuse, through) if reuse_first else ad.add(through, reuse))
+    assert np.array_equal(x.grad, c1 @ w0.T + c2)
+    assert np.array_equal(w.grad, x0.T @ c1)
+    assert np.array_equal(b.grad, c1.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,22 @@ def test_backward_releases_non_leaf_gradients_and_keeps_parameter_gradients():
         assert p._grad is not None and np.array_equal(p.grad, kept[name]), name
 
 
+def test_parameter_gradients_share_no_memory_with_each_other_or_any_parameter():
+    # backward keeps closures' fresh arrays as gradients uncopied; none may alias
+    cfg = ModelConfig(classifier_input="feature_cls")
+    model = IncrementalModel(cfg, 3, np.random.default_rng(24))
+    images = np.random.default_rng(25).uniform(size=(3, 1, cfg.image_side, cfg.image_side))
+    sel = ad.constant(np.random.default_rng(26).normal(size=(3, 3)))
+    ad.backward(ad.sum_(ad.mul(ad.softmax(model.forward_batch(images)[0], axis=1), sel)))
+    params = model.parameters()
+    assert all(p._grad is not None for p in params.values())
+    for name, p in params.items():
+        for other, q in params.items():
+            assert not np.shares_memory(p._grad, q.data), (name, other)
+            if other != name:
+                assert not np.shares_memory(p._grad, q._grad), (name, other)
+
+
 # ---------------------------------------------------------------------------
 # classifier growth and snapshots
 
@@ -444,6 +460,8 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("config", "tsa_blocks"), -1, "tsa_blocks", id="tsa_blocks-negative"),
     pytest.param(("task_index",), -3, "'task_index'", id="task_index-negative"),
     pytest.param(("task_index",), 0, "'task_index'", id="task_index-zero"),
+    pytest.param(("n_classes",), 0, "'n_classes'", id="n_classes-zero"),
+    pytest.param(("n_classes",), -2, "'n_classes'", id="n_classes-negative"),
     # classifier.bias has shape (3,); json.loads reads NaN and Infinity tokens
     pytest.param(("params", "classifier.bias", "data"), [None, float("nan"), 0.0],
                  "'classifier.bias'", id="bias-null-nan"),
