@@ -27,17 +27,27 @@ DATASET_VERSION = 1
 
 @dataclass
 class Dataset:
-    """Images in [0,1] as (n, channels, side, side) with global integer labels."""
+    """Images as (n, channels, side, side) with global integer labels.
+
+    A uint8 array is kept as pixel bytes, which the model divides by 255 one
+    forward batch at a time; anything else is coerced to float64 in [0,1].
+    """
 
     images: np.ndarray
     labels: np.ndarray
     n_classes: int
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
+        images = np.asarray(self.images)
+        self.images = images if images.dtype == np.uint8 else images.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4:
             raise ValueError(f"images must be 4-d, got shape {self.images.shape}")
+        for field, extent in (("channels", self.channels), ("side", self.side)):
+            if extent == 0:
+                raise ValueError(f"{field} must be at least 1, got 0")
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be at least 1, got {self.n_classes}")
         if len(self.labels) != len(self.images):
             raise ValueError("labels and images disagree on sample count")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
@@ -179,15 +189,13 @@ def write_label_records(path: str | Path, coarse: np.ndarray, fine: np.ndarray,
 
 
 def load_cifar100_binary(train_path: str | Path, test_path: str | Path) -> tuple[Dataset, Dataset]:
-    """Fine labels only; pixels scaled to [0,1]."""
+    """Fine labels only; pixels stay uint8 bytes."""
     datasets = []
     for path in (train_path, test_path):
         _, fine, pixels = read_label_records(path)
         if missing := np.setdiff1d(np.arange(CIFAR_CLASSES), fine).tolist():
             raise ValueError(f"{path}: no record has fine label {missing[0]}")
-        datasets.append(Dataset(pixels.astype(np.float64) / 255.0,
-                                fine.astype(np.int64),
-                                CIFAR_CLASSES))
+        datasets.append(Dataset(pixels, fine.astype(np.int64), CIFAR_CLASSES))
     return datasets[0], datasets[1]
 
 
@@ -197,14 +205,17 @@ def load_cifar100_binary(train_path: str | Path, test_path: str | Path) -> tuple
 
 def save_dataset_binary(dataset: Dataset, path: str | Path) -> None:
     """Header: magic, version u32, samples u32, classes u32, side u32,
-    channels u32 (all little-endian); then u16 labels; then uint8 pixels."""
+    channels u32 (all little-endian); then u16 labels; then uint8 pixels, which
+    are a byte-backed dataset's own bytes or round(255 * x) of float pixels."""
     header = DATASET_MAGIC + struct.pack(
         "<IIIII", DATASET_VERSION, len(dataset), dataset.n_classes,
         dataset.side, dataset.channels,
     )
     labels = dataset.labels.astype("<u2").tobytes()
-    pixels = np.round(dataset.images * 255.0).astype(np.uint8).tobytes()
-    Path(path).write_bytes(header + labels + pixels)
+    pixels = dataset.images
+    if pixels.dtype != np.uint8:
+        pixels = np.round(pixels * 255.0).astype(np.uint8)
+    Path(path).write_bytes(header + labels + pixels.tobytes())
 
 
 def load_dataset_binary(path: str | Path) -> Dataset:
@@ -222,7 +233,7 @@ def load_dataset_binary(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: size {len(raw)} does not match header counts")
     labels = np.frombuffer(raw, dtype="<u2", count=n, offset=24).astype(np.int64)
     pixels = np.frombuffer(raw, dtype=np.uint8, count=pixel_bytes, offset=24 + label_bytes)
-    images = pixels.reshape(n, channels, side, side).astype(np.float64) / 255.0
+    images = pixels.reshape(n, channels, side, side).copy()  # writable, and frees `raw`
     try:
         return Dataset(images, labels, n_classes)
     except ValueError as exc:

@@ -226,14 +226,19 @@ class IncrementalModel:
     # -- forward ------------------------------------------------------------
 
     def _embed_batch(self, images: np.ndarray) -> Tensor:
-        """(b, C, S, S) -> (b*(N+1), D) with each sample's class token last."""
+        """(b, C, S, S) -> (b*(N+1), D) with each sample's class token last.
+
+        The one place pixel bytes become floats: uint8 patches are divided by 255.
+        """
         expected = (self.cfg.channels, self.cfg.image_side, self.cfg.image_side)
         if images.shape[1:] != expected:
             raise ValueError(f"image shape {images.shape[1:]} does not match config {expected}")
         b = len(images)
         n = self.cfg.n_patches
-        patches = ad.constant(image_to_patches(images, self.cfg.patch_side))
-        z_e = ad.linear(patches, self.patch_proj, self.patch_bias)
+        patches = image_to_patches(images, self.cfg.patch_side)
+        if patches.dtype == np.uint8:
+            patches = patches / 255.0
+        z_e = ad.linear(ad.constant(patches), self.patch_proj, self.patch_bias)
         # one row per sample: its n patch rows, then its class token
         d = self.cfg.embed_dim
         per_sample = ad.concat([ad.reshape(z_e, (b, n * d)), ad.tile_rows(self.cls_token, b)],
@@ -242,7 +247,11 @@ class IncrementalModel:
         return ad.add(stacked, ad.tile_rows(self.pos_token, b))
 
     def forward_batch(self, images: np.ndarray) -> tuple[Tensor, Tensor]:
-        """(b, C, S, S) -> (b, n_classes) logits and (b, embed_dim) features."""
+        """(b, C, S, S) -> (b, n_classes) logits and (b, embed_dim) features.
+
+        Pixels are floats in [0,1] or uint8 bytes; bytes are scaled by 1/255 for this
+        batch only, which gives bit for bit the logits of the pre-scaled floats.
+        """
         b = len(images)
         z = self._embed_batch(images)
         for block in self.msa:
@@ -364,12 +373,23 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
         for key in ("shape", "data"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"checkpoint params entry {name!r} is missing {key!r}")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(
+                isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+            raise ValueError(f"checkpoint params entry {name!r} has shape {shape!r}, "
+                             "not a list of non-negative integers")
         try:
-            params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            params[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint params entry {name!r} is malformed: {exc}") from None
         if not np.isfinite(params[name]).all():
             raise ValueError(f"checkpoint params entry {name!r} holds a non-finite value")
+    # before the skeleton is built, so a wild class count cannot size its classifier
+    bias = params.get("classifier.bias")
+    if bias is None or bias.shape != (payload["n_classes"],):
+        found = "is missing" if bias is None else f"has shape {bias.shape}"
+        raise ValueError(f"checkpoint field 'n_classes' is {payload['n_classes']} but params "
+                         f"entry 'classifier.bias' {found}")
     model = IncrementalModel(ModelConfig(**payload["config"]), payload["n_classes"],
                              np.random.default_rng(0))  # structural init only; overwritten below
     model_params = model.parameters()

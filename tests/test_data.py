@@ -1,6 +1,10 @@
 """Tests for synthesis, binary formats, and task splitting."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hfclab import data as D
 
@@ -147,12 +151,16 @@ def test_loader_scales_pixels_and_uses_fine_labels(tmp_path):
     train, test = D.load_cifar100_binary(train_path, test_path)
     assert train.images.shape == (200, 3, 32, 32)
     assert test.images.shape == (100, 3, 32, 32)
-    assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+    # pixels stay bytes; the model scales them by 1/255 per forward batch
+    assert train.images.dtype == np.uint8
+    scaled = train.images / 255.0
+    assert scaled.min() >= 0.0 and scaled.max() <= 1.0
     assert train.n_classes == 100
     np.testing.assert_array_equal(train.labels[:5], [0, 1, 2, 3, 4])
     # spot-check one pixel against the raw bytes
     raw = train_path.read_bytes()
-    assert train.images[0, 0, 0, 0] == raw[2] / 255.0
+    assert train.images[0, 0, 0, 0] == raw[2]
+    assert scaled[0, 0, 0, 0] == raw[2] / 255.0
 
 
 @pytest.mark.parametrize("missing_split, label", [("train", 10), ("test", 37)])
@@ -171,6 +179,38 @@ def test_loader_names_the_file_and_first_missing_fine_label(tmp_path, missing_sp
     assert f"fine label {label}" in str(exc.value)
 
 
+def every_byte_fixture(n=100):
+    """Class-complete records whose pixels hold all 256 byte values."""
+    blob = bytearray(class_complete_fixture(n, seed=5))
+    blob[2:2 + 256] = bytes(range(256))
+    return bytes(blob)
+
+
+def test_both_loaders_keep_one_byte_per_pixel(tmp_path):
+    cifar = tmp_path / "cifar.bin"
+    cifar.write_bytes(class_complete_fixture(100, seed=6))
+    flat = tmp_path / "flat.bin"
+    D.save_dataset_binary(D.generate_synthetic(small_spec(channels=3)), flat)
+    loaded = [*D.load_cifar100_binary(cifar, cifar), D.load_dataset_binary(flat)]
+    for ds in loaded:
+        assert ds.images.dtype == np.uint8
+        assert ds.images.nbytes == len(ds) * ds.channels * ds.side * ds.side
+    assert (loaded[2].channels, loaded[2].side) == (3, 8)
+
+
+def test_cifar_pixels_survive_the_flat_binary_unchanged(tmp_path):
+    cifar = tmp_path / "cifar.bin"
+    cifar.write_bytes(every_byte_fixture())
+    train, _ = D.load_cifar100_binary(cifar, cifar)
+    assert np.unique(train.images).size == 256
+    flat = tmp_path / "flat.bin"
+    D.save_dataset_binary(train, flat)
+    loaded = D.load_dataset_binary(flat)
+    assert loaded.images.dtype == np.uint8
+    np.testing.assert_array_equal(loaded.images, train.images)
+    np.testing.assert_array_equal(loaded.labels, train.labels)
+
+
 # ---------------------------------------------------------------------------
 # flat binary export
 
@@ -181,8 +221,9 @@ def test_dataset_binary_roundtrip(tmp_path):
     D.save_dataset_binary(ds, path)
     loaded = D.load_dataset_binary(path)
     np.testing.assert_array_equal(loaded.labels, ds.labels)
+    assert loaded.images.dtype == np.uint8
     # uint8 quantization: within half a step
-    assert np.max(np.abs(loaded.images - ds.images)) <= 0.5 / 255.0 + 1e-12
+    assert np.max(np.abs(loaded.images / 255.0 - ds.images)) <= 0.5 / 255.0 + 1e-12
     # byte-level: saving the loaded dataset reproduces the file
     path2 = tmp_path / "ds2.bin"
     D.save_dataset_binary(loaded, path2)
@@ -193,6 +234,7 @@ def test_dataset_binary_roundtrip(tmp_path):
     (2, "label outside"),
     (5, "every class needs at least one sample"),
     (25, "25 classes but only 24 samples"),
+    (0, "n_classes must be at least 1, got 0"),
 ])
 def test_dataset_binary_names_the_file_when_header_classes_disagree(tmp_path, claimed,
                                                                    message):
@@ -202,6 +244,27 @@ def test_dataset_binary_names_the_file_when_header_classes_disagree(tmp_path, cl
     blob[12:16] = claimed.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match=rf"ds\.bin: .*{message}"):
+        D.load_dataset_binary(path)
+
+
+def dataset_file_bytes(n, n_classes, side, channels, version=D.DATASET_VERSION):
+    """A flat binary whose size matches its header: labels cycle through the classes."""
+    labels = np.arange(n) % max(n_classes, 1)
+    return (D.DATASET_MAGIC + struct.pack("<IIIII", version, n, n_classes, side, channels)
+            + labels.astype("<u2").tobytes() + bytes(n * channels * side * side))
+
+
+@pytest.mark.parametrize("n, n_classes, side, channels, message", [
+    (4, 2, 0, 1, "side must be at least 1, got 0"),
+    (4, 2, 4, 0, "channels must be at least 1, got 0"),
+    (4, 2, 0, 0, "channels must be at least 1, got 0"),
+    (0, 0, 4, 1, "n_classes must be at least 1, got 0"),
+])
+def test_dataset_binary_names_the_file_when_header_extents_are_zero(tmp_path, n, n_classes,
+                                                                   side, channels, message):
+    path = tmp_path / "ds.bin"
+    path.write_bytes(dataset_file_bytes(n, n_classes, side, channels))
+    with pytest.raises(ValueError, match=rf"ds\.bin: {message}"):
         D.load_dataset_binary(path)
 
 
@@ -259,3 +322,76 @@ def test_dataset_binary_rejects_cut_off_header_with_offset(tmp_path):
     path.write_bytes(b"HFCD\x01\x00")
     with pytest.raises(ValueError, match=r"short\.bin: header cut off at byte offset 6"):
         D.load_dataset_binary(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the two binary readers: any input loads or raises ValueError
+
+
+FUZZ = settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def load_or_none(load, path, blob: bytes):
+    """Load `blob` from `path`; None if the loader raised ValueError. Any other
+    exception fails the calling test."""
+    path.write_bytes(blob)
+    try:
+        return load(path)
+    except ValueError:
+        return None
+
+
+@FUZZ
+@given(blob=st.one_of(
+    st.binary(max_size=2 * D.CIFAR_RECORD_BYTES + 3),
+    st.integers(1, 3).flatmap(lambda n: st.binary(min_size=n * D.CIFAR_RECORD_BYTES,
+                                                  max_size=n * D.CIFAR_RECORD_BYTES)),
+    st.integers(0, 2 * D.CIFAR_RECORD_BYTES).map(lambda cut: cifar_fixture_bytes(n=2)[:cut]),
+))
+def test_fuzzed_cifar_records_parse_or_raise_value_error(tmp_path, blob):
+    parsed = load_or_none(D.read_label_records, tmp_path / "r.bin", blob)
+    if parsed is not None:
+        coarse, fine, pixels = parsed
+        n = len(blob) // D.CIFAR_RECORD_BYTES
+        assert pixels.dtype == np.uint8 and pixels.shape == (n, 3, 32, 32)
+        assert coarse.max() < D.CIFAR_CLASSES and fine.max() < D.CIFAR_CLASSES
+
+
+header_counts = st.one_of(st.integers(0, 6), st.sampled_from([2**16, 2**31, 2**32 - 1]))
+
+
+@st.composite
+def dataset_blobs(draw):
+    """Random HFCD headers over random bodies, or well-formed files with one byte
+    overwritten at random."""
+    if draw(st.booleans()):
+        version = draw(st.one_of(st.just(D.DATASET_VERSION), st.integers(0, 2**32 - 1)))
+        n, n_classes, side, channels = (draw(header_counts) for _ in range(4))
+        header = D.DATASET_MAGIC + struct.pack("<IIIII", version, n, n_classes, side, channels)
+        size = 2 * n + n * channels * side * side
+        if size <= 4096 and draw(st.booleans()):
+            return header + draw(st.binary(min_size=size, max_size=size))
+        return header + draw(st.binary(max_size=64))
+    n_classes = draw(st.integers(1, 4))
+    n = draw(st.integers(n_classes, 8))
+    side, channels = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    blob = bytearray(dataset_file_bytes(n, n_classes, side, channels))
+    pixel_bytes = n * channels * side * side
+    blob[-pixel_bytes:] = draw(st.binary(min_size=pixel_bytes, max_size=pixel_bytes))
+    if draw(st.booleans()):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@FUZZ
+@given(blob=st.one_of(
+    st.binary(max_size=64),
+    dataset_blobs(),
+    st.integers(0, len(dataset_file_bytes(4, 2, 4, 3))).map(
+        lambda cut: dataset_file_bytes(4, 2, 4, 3)[:cut]),
+))
+def test_fuzzed_dataset_binaries_load_or_raise_value_error(tmp_path, blob):
+    ds = load_or_none(D.load_dataset_binary, tmp_path / "ds.bin", blob)
+    if ds is not None:
+        assert ds.images.dtype == np.uint8
+        assert len(ds) > 0 and ds.channels > 0 and ds.side > 0 and ds.n_classes > 0

@@ -227,6 +227,22 @@ def test_feature_cls_batch_rows_match_single_image_forward():
         np.testing.assert_allclose(logits.data[i], one_logits.data[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(features.data[i], one_feature.data[0], rtol=0, atol=1e-12)
 
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_byte_pixels_give_bit_for_bit_the_outputs_of_their_scaled_floats(b, channels):
+    cfg = dataclasses.replace(MICRO, channels=channels)
+    model = make_model(cfg=cfg)
+    pixels = np.random.default_rng(10 * b + channels).integers(
+        0, 256, size=(b, channels, cfg.image_side, cfg.image_side), dtype=np.uint8)
+    pixels[0, 0, 0, :2] = (0, 255)
+    scaled = pixels / 255.0
+    for got, want in zip(model.forward_batch(pixels), model.forward_batch(scaled)):
+        assert got.data.tobytes() == want.data.tobytes()
+    for image, image_scaled in zip(pixels, scaled):
+        assert model.predict(image).tobytes() == model.predict(image_scaled).tobytes()
+
+
 def finite_diff_over_params(loss_fn, params, step=1e-5, tol_floor=1e-8):
     """Max relative error of recorded gradients vs central differences, per parameter."""
     for p in params.values():
@@ -448,6 +464,10 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("task_index",), "1", "'task_index'", id="task_index-string"),
     pytest.param(("task_index",), True, "'task_index'", id="task_index-bool"),
     pytest.param(("params", "cls_token", "shape"), "x", "'cls_token'", id="shape-string"),
+    # shapes numpy's reshape would accept: an inferred -1, a bool extent, a bare integer
+    pytest.param(("params", "patch_bias", "shape"), [-1], "'patch_bias'", id="shape-negative"),
+    pytest.param(("params", "cls_token", "shape"), [True, 8], "'cls_token'", id="shape-bool"),
+    pytest.param(("params", "patch_bias", "shape"), 8, "'patch_bias'", id="shape-integer"),
     pytest.param(("config", "heads"), 0, "heads", id="heads-zero"),
     pytest.param(("config", "patch_side"), 0, "patch_side", id="patch_side-zero"),
     # out-of-range counts: ModelConfig names them before the model divides by or builds from them
@@ -462,6 +482,9 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("task_index",), 0, "'task_index'", id="task_index-zero"),
     pytest.param(("n_classes",), 0, "'n_classes'", id="n_classes-zero"),
     pytest.param(("n_classes",), -2, "'n_classes'", id="n_classes-negative"),
+    # classifier.bias holds 3 classes; a huge count must not size the skeleton model
+    pytest.param(("n_classes",), 4, "'n_classes'", id="n_classes-disagrees-with-bias"),
+    pytest.param(("n_classes",), 10**12, "'n_classes'", id="n_classes-huge"),
     # classifier.bias has shape (3,); json.loads reads NaN and Infinity tokens
     pytest.param(("params", "classifier.bias", "data"), [None, float("nan"), 0.0],
                  "'classifier.bias'", id="bias-null-nan"),
