@@ -15,9 +15,12 @@ passed it on, so afterwards ``.grad`` is meaningful on leaves only
 (parameters and inputs created with ``requires_grad=True``).
 
 ``attention(q, k, v, batch, heads)`` runs every head of a multi-head block in
-one op: q, k and v are full-width row stacks, laid out per head as
-(batch, heads, rows, head_dim), with a single backward closure.
-``linear(x, w, b)`` is x @ w + b as one node; ``reshape`` returns a view.
+one op: q, k and v are full-width row stacks read through head-major
+(batch, heads, rows, head_dim) views, with a single backward closure that
+keeps only the probabilities. The one operand BLAS rounds by its stride, a
+right-hand matrix in row layout, is copied where it is used and not kept.
+``linear(x, w, b, skip)`` is x @ w + b + skip as one node, so a residual costs
+no node of its own; ``reshape`` returns a view.
 
 ``finite_diff_check`` is the independent oracle used by the test suite and the
 ``gradcheck`` command: central differences per coordinate against the recorded
@@ -248,14 +251,16 @@ def gelu(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         # g * (0.5*(1+t) + ((0.5*x)*(1-t*t)) * dinner), dinner = C*(1 + 3*0.044715*(x*x)),
-        # in two buffers; x*x is recomputed rather than kept alive since the forward pass
-        dinner = x * x
+        # in two buffers (0.5*x takes dinner's buffer before dinner does); x*x is
+        # recomputed rather than kept alive since the forward pass
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        dinner = np.multiply(0.5, x)
+        slope *= dinner
+        np.multiply(x, x, out=dinner)
         dinner *= 3.0 * 0.044715
         dinner += 1.0
         dinner *= _GELU_C
-        slope = t * t
-        np.subtract(1.0, slope, out=slope)
-        slope *= 0.5 * x
         slope *= dinner
         np.add(t, 1.0, out=dinner)
         dinner *= 0.5
@@ -378,38 +383,54 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node: the bias is added in place to the product.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
+    """x @ w + b + skip as one node: bias and skip are added in place to the product.
 
-    Bit-identical to add(matmul(x, w), b) in value and in all three gradients;
-    the gradient of an input that requires none (a constant x) is skipped.
+    Either addend may be None. Bit-identical to add(skip, add(matmul(x, w), b))
+    in value, because IEEE addition commutes, and in every gradient; the
+    gradient of an input that requires none (a constant x) is skipped. A
+    residual `skip` thus costs no node and no kept product.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
-            or b.data.shape != (w.data.shape[1],)):
-        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not chain")
+            or (b is not None and b.data.shape != w.data.shape[1:])
+            or (skip is not None and skip.data.shape != (x.data.shape[0], w.data.shape[1]))):
+        shapes = ", ".join(str(t.shape) for t in (x, w, b, skip) if t is not None)
+        raise ShapeError(f"linear: shapes {shapes} do not chain")
     data = x.data @ w.data
-    data += b.data
+    if b is not None:
+        data += b.data
+    if skip is not None:
+        data += skip.data
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(g @ w.data.T, owned=True)
         w._accumulate(x.data.T @ g, owned=True)
-        b._accumulate(g.sum(axis=0), owned=True)
+        if b is not None:
+            b._accumulate(g.sum(axis=0), owned=True)
+        if skip is not None:  # last: g is this node's own gradient and is read no further
+            skip._accumulate(g, owned=True)
 
-    return _result(data, (x, w, b), backward, "linear")
+    parents = tuple(t for t in (x, w, b, skip) if t is not None)
+    return _result(data, parents, backward, "linear")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int = 1) -> Tensor:
     """Sample-local softmax(q kᵀ) v per head over `batch` consecutive row blocks.
 
     q is (batch*m, d); k is (batch*n, d) and v (batch*n, dv). Head h owns
-    column block h of width d/heads (dv/heads for v), so each array is copied
-    to a contiguous (batch, heads, rows, width) layout: BLAS then sees the
-    per-head matrices exactly as separate single-head calls would, which keeps
-    the results bit-identical to them. Scores are formed per sample and head
-    (no cross-sample attention), softmaxed with max-subtraction along the key
-    axis, and applied to v; head outputs come back side by side as
-    (batch*m, dv).
+    column block h of width d/heads (dv/heads for v). Each array is read
+    through a head-major (batch, heads, rows, width) view, not a copy. BLAS
+    rounds a left operand and a transposed right operand the same whether it
+    is a view or contiguous, but a right operand in row layout (v in p·v; k, q
+    and g in the backward products) rounds by its row stride at small widths.
+    That operand alone is made contiguous where it is used and is not kept,
+    which keeps every result bit-identical to separate single-head calls.
+    Every product writes through a strided view into its (rows, width) result.
+    Scores are formed per sample and head (no cross-sample attention),
+    softmaxed with max-subtraction along the key axis, and applied to v; head
+    outputs come back side by side as (batch*m, dv). Backward keeps only the
+    probabilities beyond the parents' own data.
     """
     bm, d = q.data.shape
     bn, dk = k.data.shape
@@ -423,13 +444,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int = 1) -> Te
     m, n = bm // batch, bn // batch
 
     def per_head(x: np.ndarray, rows: int) -> np.ndarray:
-        return np.ascontiguousarray(x.reshape(batch, rows, heads, -1).transpose(0, 2, 1, 3))
+        return x.reshape(batch, rows, heads, -1).transpose(0, 2, 1, 3)
 
-    def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(0, 2, 1, 3).reshape(batch * x.shape[2], -1)
+    def product(left: np.ndarray, right: np.ndarray, rows: int) -> np.ndarray:
+        """left @ contiguous(right) per head, written into a (batch*rows, heads*width) array."""
+        out = np.empty((batch * rows, heads * right.shape[3]))
+        np.matmul(left, np.ascontiguousarray(right), out=per_head(out, rows))
+        return out
 
-    q4, k4, v4 = per_head(q.data, m), per_head(k.data, n), per_head(v.data, n)
-    scores = q4 @ k4.transpose(0, 1, 3, 2)
+    scores = per_head(q.data, m) @ per_head(k.data, n).transpose(0, 1, 3, 2)
     # one reduction when finite; a sum of finite scores can overflow, so recheck
     with np.errstate(over="ignore", invalid="ignore"):
         total = scores.sum()
@@ -442,15 +465,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int = 1) -> Te
 
     def backward(g: np.ndarray) -> None:
         g4 = per_head(g, m)
-        da = g4 @ v4.transpose(0, 1, 3, 2)
+        da = g4 @ per_head(v.data, n).transpose(0, 1, 3, 2)
         # ds = probs * (da - sum(da * probs)), built in da's buffer
         da -= (da * probs).sum(axis=3, keepdims=True)
         da *= probs
-        q._accumulate(merge(da @ k4), owned=True)
-        k._accumulate(merge(da.transpose(0, 1, 3, 2) @ q4), owned=True)
-        v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ g4), owned=True)
+        q._accumulate(product(da, per_head(k.data, n), m), owned=True)
+        k._accumulate(product(da.transpose(0, 1, 3, 2), per_head(q.data, m), n), owned=True)
+        v._accumulate(product(probs.transpose(0, 1, 3, 2), g4, n), owned=True)
 
-    return _result(merge(probs @ v4), (q, k, v), backward, "attention")
+    return _result(product(probs, per_head(v.data, n), m), (q, k, v), backward, "attention")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -71,8 +71,10 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
         ("op.tile_rows", lambda t: ad.sum_(ad.mul(ad.tile_rows(t, 3), tile_sel)),
          own(107).normal(size=(2, 3))),
         ("op.matmul", lambda t: ad.sum_(ad.matmul(t, ad.mul(t, t))), rng.normal(size=(3, 3))),
-        # t feeds the input, the weight and (through a column sum) the bias
-        ("op.linear", lambda t: ad.sum_(ad.mul(ad.linear(t, t, ad.sum_(t, axis=0)), linear_sel)),
+        # t feeds the input, the weight, (through a column sum) the bias and the skip of an
+        # inner linear, and the input, weight and skip of a bias-free outer one
+        ("op.linear", lambda t: ad.sum_(ad.mul(
+            ad.linear(t, t, skip=ad.linear(t, t, ad.sum_(t, axis=0), skip=t)), linear_sel)),
          own(109).normal(size=(3, 3))),
         ("op.sum", lambda t: ad.sum_(ad.exp(ad.sum_(t, axis=0))), rng.normal(size=(3, 2))),
         ("op.mean", lambda t: ad.mean(ad.mul(t, t)), rng.normal(size=(3, 4))),

@@ -10,7 +10,9 @@ Batches are processed as one row-stacked matrix per layer, and the graph a
 forward pass records does not grow with batch size: the class token is
 inserted by reshapes and one concat, and each block makes one multi-head
 ``ad.attention(..., heads)`` call, which keeps the quadratic score
-computation sample-local. Parameter tensors are float64 and live on the
+computation sample-local; that call reads q, k and v through head-major
+views and keeps no copy of them, and each residual is folded into the
+projection that feeds it. Parameter tensors are float64 and live on the
 autodiff graph; frozen snapshots hold detached copies only. ``predict`` runs
 under ``ad.no_grad()`` and records no graph.
 """
@@ -104,8 +106,9 @@ class Mlp:
         self.w2 = _projection(rng, (hidden, dim))
         self.b2 = _zeros(dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(ad.gelu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2)
+    def __call__(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
+        """The MLP of x, plus `skip` folded into its output projection."""
+        return ad.linear(ad.gelu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2, skip)
 
 
 def _block_parameters(block, prefix: str) -> dict[str, Tensor]:
@@ -132,7 +135,11 @@ class SelfAttentionBlock:
     """Pre-normed multi-head self-attention with a residual MLP tail.
 
     The query/key/value projections are stored as full width-by-width
-    matrices; head h reads column block h inside one attention call.
+    matrices; head h reads column block h inside one attention call, through
+    a head-major view of the projection, not a copy (``ad.attention`` copies
+    only v, for p·v, and drops that copy at once). Both residuals are the
+    ``skip`` of the projection that feeds them, the output projection and the
+    MLP's second map, so neither keeps a product the backward pass never reads.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -151,16 +158,18 @@ class SelfAttentionBlock:
         zn = ad.layer_norm(z, self.norm1_gain, self.norm1_bias)
         heads = _attend(ad.matmul(zn, self.w_q), ad.matmul(zn, self.w_k),
                         ad.matmul(zn, self.w_v), batch, self.cfg.heads)
-        attended = ad.add(z, ad.matmul(heads, self.w_o))
+        attended = ad.linear(heads, self.w_o, skip=z)
         normed = ad.layer_norm(attended, self.norm2_gain, self.norm2_bias)
-        return ad.add(attended, self.mlp(normed))
+        return self.mlp(normed, skip=attended)
 
 
 class AggregationBlock:
     """Cross-attention from one query embedding onto the patch sequence.
 
     Output is the projected head concat plus an MLP term; deliberately no
-    residual from the incoming query embedding.
+    residual from the incoming query embedding. q, k and v are read as views,
+    as in the self-attention block, and the projected concat is the ``skip``
+    of the MLP's second map.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -183,7 +192,7 @@ class AggregationBlock:
                         ad.matmul(zn, self.v_v), batch, self.cfg.heads)
         aggregated = ad.matmul(heads, self.v_o)
         normed = ad.layer_norm(aggregated, self.norm2_gain, self.norm2_bias)
-        return ad.add(aggregated, self.mlp(normed))
+        return self.mlp(normed, skip=aggregated)
 
 
 def image_to_patches(images: np.ndarray, patch_side: int) -> np.ndarray:
@@ -338,6 +347,34 @@ class IncrementalModel:
             out.write("}}")
 
 
+def _parameter_shapes(cfg: ModelConfig, n_classes: int):
+    """Yield (name, shape, the fields it derives from) for every parameter of
+    IncrementalModel(cfg, n_classes), allocating nothing."""
+    d, hidden = cfg.embed_dim, cfg.embed_dim * cfg.mlp_ratio
+    width, mlp = ("config.embed_dim",), ("config.embed_dim", "config.mlp_ratio")
+    yield "classifier.bias", (n_classes,), ("n_classes",)
+    yield ("classifier.weight", (n_classes, cfg.classifier_width),
+           ("n_classes", "config.embed_dim", "config.classifier_input"))
+    yield "patch_proj", (cfg.patch_dim, d), ("config.channels", "config.patch_side") + width
+    yield "pos_token", (cfg.n_patches + 1, d), ("config.image_side", "config.patch_side") + width
+    yield "patch_bias", (d,), width
+    yield "cls_token", (1, d), width
+    yield "task_embedding", (1, d), width
+    for kind, count, norms, weights in (
+            ("msa", cfg.msa_blocks, ("norm1", "norm2"), ("w_q", "w_k", "w_v", "w_o")),
+            ("tsa", cfg.tsa_blocks, ("normq", "normz", "norm2"), ("v_q", "v_k", "v_v", "v_o"))):
+        for i in range(count):
+            for norm in norms:
+                yield f"{kind}{i}.{norm}_gain", (d,), width
+                yield f"{kind}{i}.{norm}_bias", (d,), width
+            for weight in weights:
+                yield f"{kind}{i}.{weight}", (d, d), width
+            yield f"{kind}{i}.mlp.w1", (d, hidden), mlp
+            yield f"{kind}{i}.mlp.b1", (hidden,), mlp
+            yield f"{kind}{i}.mlp.w2", (hidden, d), mlp
+            yield f"{kind}{i}.mlp.b2", (d,), width
+
+
 _JSON_KINDS = {int: "an integer", str: "a string", dict: "an object"}
 
 
@@ -384,19 +421,19 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
             raise ValueError(f"checkpoint params entry {name!r} is malformed: {exc}") from None
         if not np.isfinite(params[name]).all():
             raise ValueError(f"checkpoint params entry {name!r} holds a non-finite value")
-    # before the skeleton is built, so a wild class count cannot size its classifier
-    bias = params.get("classifier.bias")
-    if bias is None or bias.shape != (payload["n_classes"],):
-        found = "is missing" if bias is None else f"has shape {bias.shape}"
-        raise ValueError(f"checkpoint field 'n_classes' is {payload['n_classes']} but params "
-                         f"entry 'classifier.bias' {found}")
-    model = IncrementalModel(ModelConfig(**payload["config"]), payload["n_classes"],
-                             np.random.default_rng(0))  # structural init only; overwritten below
-    model_params = model.parameters()
-    if set(model_params) != set(params):
-        raise ValueError("checkpoint parameter names do not match the architecture")
-    for name, arr in params.items():
-        if arr.shape != model_params[name].shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}")
-        model_params[name].data = arr
+    # every shape is compared before the skeleton is built, so a wild extent cannot size it
+    cfg, n_classes = ModelConfig(**payload["config"]), payload["n_classes"]
+    unused = set(params)
+    for name, shape, fields in _parameter_shapes(cfg, n_classes):
+        if name not in params:
+            raise ValueError(f"checkpoint params entry {name!r} is missing")
+        if params[name].shape != shape:
+            raise ValueError(f"checkpoint params entry {name!r} has shape {params[name].shape}, "
+                             f"not the {shape} that {', '.join(map(repr, fields))} set")
+        unused.discard(name)
+    if unused:
+        raise ValueError(f"checkpoint params entry {min(unused)!r} is not in the architecture")
+    model = IncrementalModel(cfg, n_classes, np.random.default_rng(0))  # overwritten below
+    for name, tensor in model.parameters().items():
+        tensor.data = params[name]
     return model, payload["task_index"]

@@ -204,6 +204,11 @@ OP_CASES = {
                                  ad.constant(np.arange(9.0).reshape(3, 3)))),
         (3, 3),
     ),
+    "linear_skip": (
+        lambda t: ad.sum_(ad.mul(ad.linear(t, ad.exp(t), skip=ad.mul(t, t)),
+                                 ad.constant(np.arange(9.0).reshape(3, 3)))),
+        (3, 3),
+    ),
     "sum_axis": (lambda t: ad.sum_(ad.exp(ad.sum_(t, axis=0))), (3, 2)),
     "mean": (lambda t: ad.mean(ad.mul(t, t)), (3, 4)),
     "mean_axis": (lambda t: ad.sum_(ad.exp(ad.mean(t, axis=1))), (2, 5)),
@@ -377,11 +382,19 @@ def per_head_attention(q, k, v, batch, heads):
                      axis=1)
 
 
-@pytest.mark.parametrize("m,n", [(4, 5), (1, 6)])
-@pytest.mark.parametrize("heads", [1, 2, 4])
-def test_multihead_attention_is_bit_identical_to_per_head_path(heads, m, n):
-    rng = rng_for(f"multihead{heads}{m}")
-    batch, d = 3, 8
+# at head widths up to 3 BLAS rounds a row-layout right operand by its stride,
+# so a view in place of a contiguous copy would show at widths 1 and 3
+MULTIHEAD_SHAPES = [pytest.param(heads, m, n, 8 // heads, id=f"{heads}-{m}-{n}")
+                    for m, n in [(4, 5), (1, 6)] for heads in (1, 2, 4)] + [
+    pytest.param(heads, m, n, width, id=f"{heads}-{m}-{n}-w{width}")
+    for heads in (1, 2, 4) for width in (1, 3, 8) for m in (1, 17) for n in (1, 17)]
+
+
+@pytest.mark.parametrize("heads,m,n,width", MULTIHEAD_SHAPES)
+def test_multihead_attention_is_bit_identical_to_per_head_path(heads, m, n, width):
+    # the first six shapes keep the draws they had before the width grid
+    rng = rng_for(f"multihead{heads}{m}" if n in (5, 6) else f"multihead{heads}-{m}-{n}-{width}")
+    batch, d = 3, heads * width
     arrays = [rng.normal(size=(batch * rows, d)) for rows in (m, n, n)]
     sel = ad.constant(rng.normal(size=(batch * m, d)))
 
@@ -401,23 +414,57 @@ def test_multihead_attention_is_bit_identical_to_per_head_path(heads, m, n):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("x_needs_grad", [True, False])
-def test_linear_is_bit_identical_to_matmul_plus_bias(x_needs_grad):
+# with one head a contiguous input is a contiguous per-head operand, so there a
+# slice's wider row stride would round differently if it reached BLAS uncopied
+@pytest.mark.parametrize("m,n", [(1, 17), (17, 1), (5, 7)])
+@pytest.mark.parametrize("heads,width", [(1, 1), (1, 3), (4, 1), (2, 3), (2, 8)])
+def test_attention_on_column_slices_equals_attention_on_contiguous_inputs(heads, width, m, n):
+    rng = rng_for(f"attention_slices{heads}{width}{m}{n}")
+    batch, d = 2, heads * width
+    wide = [rng.normal(size=(batch * rows, 3 * d)) for rows in (m, n, n)]
+    sel = ad.constant(rng.normal(size=(batch * m, d)))
+
+    def run(arrays):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out = ad.attention(q, k, v, batch, heads)
+        ad.backward(ad.sum_(ad.mul(out, sel)))
+        return [out.data] + [t.grad for t in (q, k, v)]
+
+    slices = [a[:, d:2 * d] for a in wide]
+    assert not any(a.flags.c_contiguous for a in slices)
+    for got, want in zip(run(slices), run([a.copy() for a in slices])):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x_needs_grad,addends", [
+    pytest.param(x_needs_grad, addends,
+                 id=f"{x_needs_grad}" + ("" if addends == "b" else f"-{addends}"))
+    for x_needs_grad in (True, False) for addends in ("b", "skip", "b+skip")])
+def test_linear_is_bit_identical_to_matmul_plus_bias(x_needs_grad, addends):
     rng = rng_for("linear_bits")
     arrays = [rng.normal(size=shape) for shape in ((7, 5), (5, 6), (6,))]
     sel = ad.constant(rng.normal(size=(7, 6)))
+    skip0 = rng_for("linear_skip").normal(size=(7, 6))
+    with_b, with_skip = "b" in addends.split("+"), "skip" in addends
 
     def run(affine):
         x = Tensor(arrays[0].copy(), requires_grad=x_needs_grad)
         w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[1:])
-        out = affine(x, w, b)
-        ad.backward(ad.sum_(ad.mul(out, sel)))
-        return out.data, x, [t.grad for t in (x, w, b)]
+        skip = Tensor(skip0.copy(), requires_grad=True)
+        # skip also feeds the loss directly, so its gradient sums two contributions
+        out = affine(x, w, b if with_b else None, skip if with_skip else None)
+        ad.backward(ad.add(ad.sum_(ad.mul(out, sel)), ad.sum_(ad.mul(skip, skip))))
+        return out.data, x, [t.grad for t in (x, w, b, skip)]
+
+    def reference(x, w, b, skip):
+        out = ad.matmul(x, w)
+        out = out if b is None else ad.add(out, b)
+        return out if skip is None else ad.add(skip, out)
 
     fused = run(ad.linear)
-    reference = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
-    assert np.array_equal(fused[0], reference[0])
-    for got, want in zip(fused[2][not x_needs_grad:], reference[2][not x_needs_grad:]):
+    expected = run(reference)
+    assert np.array_equal(fused[0], expected[0])
+    for got, want in zip(fused[2][not x_needs_grad:], expected[2][not x_needs_grad:]):
         assert np.array_equal(got, want)
     if not x_needs_grad:  # a constant input's gradient is not computed
         assert fused[1]._grad is None
@@ -429,6 +476,10 @@ def test_linear_rejects_bad_shapes():
         ad.linear(x, Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
     with pytest.raises(ad.ShapeError):
         ad.linear(x, w, Tensor(np.zeros(3)))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, w, skip=Tensor(np.zeros((4, 3))))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(Tensor(np.zeros(3)), w, skip=Tensor(np.zeros((4, 2))))
 
 
 def test_gelu_value_and_gradient_match_the_stored_square_formula():
@@ -505,6 +556,9 @@ PASS_THROUGH = {
     "concat": (lambda t: ad.concat([t, ad.constant(np.ones((1, 3)))], axis=0),
                lambda g: g[:2]),
     "transpose": (ad.transpose, lambda g: g.T),
+    "linear_skip": (lambda t: ad.linear(ad.constant(np.ones((2, 4))),
+                                        ad.constant(np.ones((4, 3))), skip=t),
+                    lambda g: g),
 }
 
 

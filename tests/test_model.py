@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from hfclab import autodiff as ad
+from hfclab import losses as LS
 from hfclab.model import (
     AggregationBlock,
     IncrementalModel,
     ModelConfig,
     SelfAttentionBlock,
+    _parameter_shapes,
     image_to_patches,
     load_checkpoint,
 )
@@ -485,6 +487,12 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     # classifier.bias holds 3 classes; a huge count must not size the skeleton model
     pytest.param(("n_classes",), 4, "'n_classes'", id="n_classes-disagrees-with-bias"),
     pytest.param(("n_classes",), 10**12, "'n_classes'", id="n_classes-huge"),
+    # huge extents: each is compared with its params entries before anything is sized by it
+    pytest.param(("config", "embed_dim"), 2**40, "'config.embed_dim'", id="embed_dim-huge"),
+    pytest.param(("config", "image_side"), 2**40, "'config.image_side'", id="image_side-huge"),
+    pytest.param(("config", "mlp_ratio"), 2**40, "'config.mlp_ratio'", id="mlp_ratio-huge"),
+    pytest.param(("config", "msa_blocks"), 2**40, "'msa1.norm1_gain'", id="msa_blocks-huge"),
+    pytest.param(("config", "tsa_blocks"), 0, "'tsa0.mlp.b1'", id="tsa_blocks-fewer"),
     # classifier.bias has shape (3,); json.loads reads NaN and Infinity tokens
     pytest.param(("params", "classifier.bias", "data"), [None, float("nan"), 0.0],
                  "'classifier.bias'", id="bias-null-nan"),
@@ -502,6 +510,15 @@ def test_checkpoint_wrongly_typed_field_is_named(tmp_path, path, value, named):
     file.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=named):
         load_checkpoint(file)
+
+
+@pytest.mark.parametrize("cfg", [MICRO, ModelConfig(), ModelConfig(
+    image_side=12, channels=3, patch_side=3, embed_dim=6, heads=3, msa_blocks=0, tsa_blocks=3,
+    mlp_ratio=2, classifier_input="feature_cls")])
+def test_parameter_shapes_are_those_of_the_built_model(cfg):
+    model = IncrementalModel(cfg, 5, np.random.default_rng(0))
+    shapes = [(name, shape) for name, shape, _ in _parameter_shapes(cfg, 5)]
+    assert sorted(shapes) == sorted((name, t.shape) for name, t in model.parameters().items())
 
 
 @pytest.mark.parametrize("key", ["data", "shape"])
@@ -536,4 +553,35 @@ def test_forward_graph_does_not_grow_with_batch_size(classifier_input):
     counts = [len(ad._topo_order(ad.sum_(model.forward_batch(images[:b])[0])))
               for b in (1, 16)]
     assert counts[0] == counts[1]
-    assert counts[1] <= 101
+    assert counts[1] <= 96
+
+
+def graph_bytes(loss: ad.Tensor) -> int:
+    """Bytes of the distinct buffers a graph keeps alive: every node's data and the
+    arrays its backward closure holds, each counted once through its base."""
+    bases = {}
+    for node in ad._topo_order(loss):
+        closure = node._backward.__closure__ if node._backward is not None else None
+        for array in [node.data] + [c.cell_contents for c in closure or ()
+                                    if isinstance(c.cell_contents, np.ndarray)]:
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            bases[id(array)] = array.nbytes
+    return sum(bases.values())
+
+
+def test_cifar_shaped_training_step_graph_stays_small():
+    # batch 16 at 32x32x3, 60 classes (50 old, 10 new), compensation plus relation
+    # distillation: 22.06 MiB while attention kept per-head copies of q, k and v and
+    # each residual kept its own product, 19.01 MiB without them
+    cfg, k_old, k_new, b = ModelConfig(image_side=32, channels=3), 50, 10, 16
+    rng = np.random.default_rng(62)
+    model = IncrementalModel(cfg, k_old + k_new, rng)
+    images = rng.integers(0, 256, size=(b, 3, 32, 32), dtype=np.uint8)
+    old_probs = rng.uniform(size=(b, k_old))
+    old_probs /= old_probs.sum(axis=1, keepdims=True)
+    probs = ad.softmax(model.forward_batch(images)[0], axis=1)
+    batch = LS.BatchView(probs, rng.integers(0, k_old + k_new, size=b),
+                         np.arange(k_old + k_new) // k_new, k_old, k_new, old_probs)
+    held = graph_bytes(LS.objective(batch, None, 1.0, 1.0))
+    assert held <= 19.1 * 2**20, f"{held / 2**20:.2f} MiB"
