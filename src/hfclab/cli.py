@@ -21,6 +21,26 @@ from .model import IncrementalModel
 from .seeding import stream_rng, stream_seed
 
 
+def _generate(spec: D.SyntheticSpec, per_class_key: str) -> D.Dataset:
+    """generate_synthetic, with a pixel array too large to allocate reported as
+    the config's fault, naming the extents that multiply up to it."""
+    size = spec.n_classes * spec.samples_per_class * spec.channels * spec.side ** 2 * 8
+    if size <= sys.maxsize:  # numpy cannot describe a larger array
+        try:
+            return D.generate_synthetic(spec)
+        except MemoryError:
+            pass
+    shown, unit = float(size), 0
+    while shown >= 1024 and unit < 6:
+        shown, unit = shown / 1024, unit + 1
+    raise ValueError(
+        f"$.dataset.classes {spec.n_classes} x $.dataset.{per_class_key} "
+        f"{spec.samples_per_class} x $.dataset.channels {spec.channels} x "
+        f"$.dataset.side {spec.side}^2 float64 pixels need "
+        f"{shown:.3g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB', 'EiB')[unit]}, "
+        "more than can be allocated")
+
+
 def build_datasets(cfg: RunConfig, master_seed: int) -> tuple[D.Dataset, D.Dataset]:
     if cfg.dataset_type == "synthetic":
         s = cfg.synthetic
@@ -30,7 +50,8 @@ def build_datasets(cfg: RunConfig, master_seed: int) -> tuple[D.Dataset, D.Datas
                                class_noise=s.class_noise or (), seed=seed)
         test_spec = dataclasses.replace(spec, samples_per_class=s.test_samples_per_class,
                                         split="test")
-        return D.generate_synthetic(spec), D.generate_synthetic(test_spec)
+        return (_generate(spec, "samples_per_class"),
+                _generate(test_spec, "test_samples_per_class"))
     return D.load_cifar100_binary(cfg.cifar.train_path, cfg.cifar.test_path)
 
 

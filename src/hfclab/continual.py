@@ -278,6 +278,11 @@ def run_stream(
             if use_relation and not config.flip_augment:
                 # frozen teacher, fixed pool: predictions are constant for the task
                 pool_probs, _ = MT.predict_outputs(old_model, train_set.images[pool])
+            elif use_relation:
+                # with flips only the orientation varies: memo[flipped, row] is
+                # predicted the first time a step draws it and read after that
+                memo = np.empty((2, len(pool), k_old))
+                known = np.zeros((2, len(pool)), dtype=bool)
 
             def train_step(rows: np.ndarray) -> float:
                 """One SGD step on pool[rows]; returns its loss. The step's graph, the
@@ -297,7 +302,11 @@ def run_stream(
                     if pool_probs is not None:
                         old_probs = pool_probs[rows]
                     else:
-                        old_probs = np.stack([old_model.predict(img) for img in images])
+                        orient = flips.astype(np.intp)
+                        for i in np.flatnonzero(~known[orient, rows]):
+                            memo[orient[i], rows[i]] = old_model.predict(images[i])
+                        known[orient, rows] = True
+                        old_probs = memo[orient, rows]
                 batch = LS.BatchView(probs, labels, class_to_task, k_old, len(space), old_probs)
                 loss = _batch_loss(batch, task_index, config)
                 optimizer.zero_grad()

@@ -109,45 +109,50 @@ def class_template(spec: SyntheticSpec, cls: int) -> np.ndarray:
     return img
 
 
-def _shift_bilinear(plane: np.ndarray, dy: float, dx: float) -> np.ndarray:
-    """Translate by a subpixel offset with bilinear sampling, edge-clamped."""
-    side = plane.shape[0]
+def _shift_bilinear(template: np.ndarray, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Translate a (channels, side, side) template by each pair of subpixel
+    offsets with bilinear sampling, edge-clamped: (len(dy), channels, side, side)."""
+    side = template.shape[1]
     grid = np.arange(side, dtype=np.float64)
-    yy, xx = np.meshgrid(grid - dy, grid - dx, indexing="ij")
-    yy = np.clip(yy, 0, side - 1)
-    xx = np.clip(xx, 0, side - 1)
+    yy = np.clip(grid - dy[:, None], 0, side - 1)[:, :, None]  # (k, side, 1)
+    xx = np.clip(grid - dx[:, None], 0, side - 1)[:, None, :]  # (k, 1, side)
     y0 = np.floor(yy).astype(int)
     x0 = np.floor(xx).astype(int)
     y1 = np.minimum(y0 + 1, side - 1)
     x1 = np.minimum(x0 + 1, side - 1)
     wy = yy - y0
     wx = xx - x0
-    return ((1 - wy) * (1 - wx) * plane[y0, x0]
-            + (1 - wy) * wx * plane[y0, x1]
-            + wy * (1 - wx) * plane[y1, x0]
-            + wy * wx * plane[y1, x1])
+    shifted = ((1 - wy) * (1 - wx) * template[:, y0, x0]  # (channels, k, side, side)
+               + (1 - wy) * wx * template[:, y0, x1]
+               + wy * (1 - wx) * template[:, y1, x0]
+               + wy * wx * template[:, y1, x1])
+    return shifted.transpose(1, 0, 2, 3)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Each sample is its class template, jittered and noised by the class level."""
-    n = spec.n_classes * spec.samples_per_class
-    images = np.empty((n, spec.channels, spec.side, spec.side))
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
+    """Each sample is its class template, jittered and noised by the class level.
+
+    A noisy class draws one standard-normal block from its own stream, one row
+    per sample: two subpixel offsets (scaled by level * side / 4) and then the
+    pixel noise (scaled by level) in (channel, row, column) order. A
+    zero-noise class draws nothing and repeats its template.
+    """
+    k = spec.samples_per_class
+    images = np.empty((spec.n_classes * k, spec.channels, spec.side, spec.side))
     for cls in range(spec.n_classes):
         template = class_template(spec, cls)
         sigma = spec.class_noise[cls]
-        rng = stream_rng(spec.seed, f"samples/{spec.split}/{cls}")
-        for _ in range(spec.samples_per_class):
-            sample = template.copy()
-            if sigma > 0:
-                dy, dx = rng.normal(0.0, sigma * spec.side / 4.0, size=2)
-                for ch in range(spec.channels):
-                    sample[ch] = _shift_bilinear(sample[ch], dy, dx)
-                sample += rng.normal(0.0, sigma, size=sample.shape)
-            images[row] = np.clip(sample, 0.0, 1.0)
-            labels[row] = cls
-            row += 1
+        rows = slice(cls * k, (cls + 1) * k)
+        if sigma == 0:
+            images[rows] = template
+            continue
+        z = stream_rng(spec.seed, f"samples/{spec.split}/{cls}").standard_normal(
+            (k, 2 + template.size))
+        offsets = sigma * spec.side / 4.0 * z[:, :2]
+        samples = _shift_bilinear(template, offsets[:, 0], offsets[:, 1])
+        samples += sigma * z[:, 2:].reshape(samples.shape)
+        np.clip(samples, 0.0, 1.0, out=images[rows])
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), k)
     return Dataset(images, labels, spec.n_classes)
 
 

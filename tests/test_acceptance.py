@@ -233,6 +233,7 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
 
 
 def _experiment_run(seed: int, uniform_weights: bool) -> C.TaskRecord:
+    cli.run_blas_on_one_thread()  # as `hfclab train` runs, whichever test ran first
     noise = tuple(np.linspace(0.02, 0.3, 10))
     ds_seed = stream_seed(seed, "dataset")
     train = D.generate_synthetic(D.SyntheticSpec(10, 60, side=16, class_noise=noise,

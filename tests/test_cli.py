@@ -1,5 +1,6 @@
 """Tests for config parsing and the command-line surface."""
 import ctypes
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,10 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfclab import cli
 from hfclab import gradcheck as GC
-from hfclab.config import ConfigError, config_to_dict, parse_config
+from hfclab.config import (
+    CifarBlock, ConfigError, StreamBlock, SyntheticBlock, config_to_dict, parse_config,
+)
+from hfclab.continual import TrainerConfig
+from hfclab.losses import LossConfig
+from hfclab.model import ModelConfig
 
 
 def minimal_config(**overrides):
@@ -107,6 +115,63 @@ def test_cifar_block_parses():
     assert parse_config(config_to_dict(cfg)) == cfg
 
 
+# every key the schema knows, per block (None: the root), for the fuzzer
+SCHEMA_KEYS = {
+    None: ("schema_version", "dataset", "stream", "model", "trainer", "losses"),
+    "dataset": ("type",) + tuple(f.name for block in (SyntheticBlock, CifarBlock)
+                                 for f in dataclasses.fields(block)),
+    "stream": tuple(f.name for f in dataclasses.fields(StreamBlock)),
+    "model": tuple(f.name for f in dataclasses.fields(ModelConfig)),
+    "trainer": tuple(f.name for f in dataclasses.fields(TrainerConfig)),
+    "losses": tuple(f.name for f in dataclasses.fields(LossConfig)),
+}
+# json.loads yields any of these; NaN, +-Infinity and huge integers included
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-3, 40)
+                | st.floats() | st.text(max_size=6)
+                | st.sampled_from(["synthetic", "cifar100", "fixed_total", "per_class",
+                                   "feature_cls", "literal", "teacher_student"]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """Mostly a valid synthetic or CIFAR config with one to three schema keys
+    (now and then an unknown key) set to random JSON values or deleted;
+    sometimes a random JSON value as the whole config."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(json_values)
+    cfg = minimal_config()
+    if draw(st.booleans()):
+        cfg["dataset"] = {"type": "cifar100", "train_path": "a.bin", "test_path": "b.bin",
+                          "horizontal_flip": True}
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.sampled_from(list(SCHEMA_KEYS)))
+        target = cfg if block is None else cfg.setdefault(block, {})
+        if not isinstance(target, dict):  # an earlier mutation replaced the block
+            continue
+        unknown = draw(st.integers(0, 7)) == 0
+        key = draw(st.text(max_size=6) if unknown else st.sampled_from(SCHEMA_KEYS[block]))
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = draw(json_values)
+    return cfg
+
+
+@settings(max_examples=400)
+@given(raw=fuzzed_configs())
+def test_fuzzed_configs_parse_or_raise_config_error(raw):
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    assert parse_config(config_to_dict(cfg)) == cfg
+
+
 # ---------------------------------------------------------------------------
 # train command
 
@@ -179,6 +244,24 @@ def test_train_out_of_range_field_exits_2_with_path(tmp_path, capsys, block, key
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extents, named, size", [
+    ({"classes": 100000, "samples_per_class": 100000, "side": 16},
+     "$.dataset.classes 100000 x $.dataset.samples_per_class 100000", "18.6 TiB"),
+    ({"side": 4000000}, "$.dataset.side 4000000^2", "1.82 PiB"),
+    ({"test_samples_per_class": 10**12}, "$.dataset.test_samples_per_class 1000000000000",
+     "1.82 PiB"),
+    # past the largest array numpy can describe
+    ({"side": 2**32}, "$.dataset.side 4294967296^2", "2.05e+03 EiB"),
+])
+def test_train_oversized_synthetic_dataset_exits_2_naming_its_extents(tmp_path, capsys,
+                                                                       extents, named, size):
+    config = write_config(tmp_path, minimal_config(dataset=extents))
+    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and f"need {size}" in err
 
 
 def test_train_missing_cifar_files_exit_2(tmp_path, capsys):
@@ -274,16 +357,32 @@ def test_demo_run_metrics_match_the_pinned_hash(tmp_path):
 
 # metrics.csv and last checkpoint of a CIFAR-shaped run with flips at seed 7:
 # three classifier growths, each later task with a per-image flip teacher. The
-# batched flip teacher of ROADMAP item 1 is a declared rounding change and
+# batched flip teacher of ROADMAP item 2 is a declared rounding change and
 # updates both hashes.
 CIFAR_FLIP_SHA256 = {
     "metrics.csv": "2ef528ef718daf156bf96a7ac51d36c7429cedd630346b7b5dd3d7d1561ddea3",
     "task4.ckpt.json": "f9e31a820137d7551673ab0b8b5206745bafa9fbc1a554ba0bee14bd39a01214",
 }
+# The same run at 3 epochs per task, where the teacher sees most (orientation,
+# pool row) pairs more than once: taken from a teacher that predicted every
+# image of every step.
+CIFAR_FLIP_3_EPOCHS_SHA256 = {
+    "metrics.csv": "31f7bbe2e525c06f0fd3f86e2736e847664160090cd1466b54d26e99ed68db4c",
+    "task1.ckpt.json": "0127fe51de7bf2bd5ba35a99b0054077ca7cec793096aca8a033866368fffbf5",
+    "task2.ckpt.json": "2be944fdf4fa0d0f5fa76b8a0a21a78c8108b33912b34f1aa416ed8bd52f8bfc",
+    "task3.ckpt.json": "fb68a88715e9645304beb52086efd093ab3fc4a0a5f90209c17b5cf07302ca59",
+    "task4.ckpt.json": "1dadb501253f3e18ac4b7ba0e1f46cf4ebedabcdb83d375e56260c3cd64ed4fb",
+}
+# pool of each later task: its 25 classes x 2 images, plus min(40 // seen, 2)
+# exemplars of each of the `seen` earlier classes
+CIFAR_FLIP_POOLS = [50 + seen * min(40 // seen, 2) for seen in (25, 50, 75)]
 
 
-def test_cifar_flip_run_matches_the_pinned_hashes(tmp_path):
+def cifar_flip_run(tmp_path, monkeypatch, epochs):
+    """Run the 4-task CIFAR-layout flip config; return its output directory
+    and, per task after the first, the images its teacher predicted."""
     from hfclab import data as D
+    from hfclab.model import IncrementalModel
 
     rng = np.random.default_rng(13)
     for split, per_class in (("train", 2), ("test", 1)):
@@ -296,12 +395,41 @@ def test_cifar_flip_run_matches_the_pinned_hashes(tmp_path):
                     "test_path": str(tmp_path / "test.bin"), "horizontal_flip": True},
         "stream": {"tasks": 4},
         "model": {"patch_side": 8, "embed_dim": 16, "heads": 2, "msa_blocks": 1},
-        "trainer": {"memory_capacity": 40, "epochs_per_task": 1},
+        "trainer": {"memory_capacity": 40, "epochs_per_task": epochs},
     })
+    predict, teachers, predicted = IncrementalModel.predict, [], []
+
+    def recording_predict(self, image):
+        if not teachers or teachers[-1] is not self:  # each task snapshots a new teacher
+            teachers.append(self)
+            predicted.append([])
+        predicted[-1].append(image.tobytes())
+        return predict(self, image)
+
+    monkeypatch.setattr(IncrementalModel, "predict", recording_predict)
     out = tmp_path / "out"
     assert cli.main(["train", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
+    return out, predicted
+
+
+def test_cifar_flip_run_matches_the_pinned_hashes(tmp_path, monkeypatch):
+    out, predicted = cifar_flip_run(tmp_path, monkeypatch, epochs=1)
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in CIFAR_FLIP_SHA256} == CIFAR_FLIP_SHA256
+    # one epoch draws every pool row once, so the teacher predicts each once
+    assert [len(images) for images in predicted] == CIFAR_FLIP_POOLS
+
+
+def test_flip_teacher_predicts_each_orientation_and_row_once_per_task(tmp_path, monkeypatch):
+    out, predicted = cifar_flip_run(tmp_path, monkeypatch, epochs=3)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in CIFAR_FLIP_3_EPOCHS_SHA256} == CIFAR_FLIP_3_EPOCHS_SHA256
+    # the pool images are distinct and none equals its own mirror image, so
+    # a repeated image would be a repeated (orientation, pool row) pair
+    assert len(predicted) == len(CIFAR_FLIP_POOLS)
+    for images, pool in zip(predicted, CIFAR_FLIP_POOLS):
+        assert len(set(images)) == len(images)
+        assert pool < len(images) <= 2 * pool  # 3 epochs draw some rows both ways
 
 
 def test_train_minimal_run_writes_reports(tmp_path):

@@ -1,4 +1,5 @@
 """Tests for synthesis, binary formats, and task splitting."""
+import hashlib
 import struct
 
 import numpy as np
@@ -69,6 +70,43 @@ def test_difficulty_monotone_in_noise_on_average():
         means.append(np.mean(accs))
     assert means[0] >= means[1] >= means[2]
     assert means[0] > means[2]
+
+
+# sha256 of images.tobytes() and labels.tobytes(). Every generated dataset
+# depends on these bytes, so a rewrite of the generator keeps them; one that
+# does not is a declared change to every synthetic run.
+GENERATOR_SHA256 = [
+    (dict(n_classes=3, samples_per_class=5, side=8, channels=3,
+          class_noise=(0.0, 0.05, 1.0), seed=7, split="train"),
+     "17d45834ac658550ffb7bac3ef75d13326421dad2bc191cbb0644dcf5574ae39",
+     "1f7e87a6d594c144e19148b8bca76ba8fddaf9d67dac688d626ed5ae17421734"),
+    (dict(n_classes=3, samples_per_class=5, side=8, channels=3,
+          class_noise=(0.0, 0.05, 1.0), seed=7, split="test"),
+     "b5778ce3e654d6163cc778bfffee6f72efd4d3eef6e193556eb0d95a4a9aea50",
+     "1f7e87a6d594c144e19148b8bca76ba8fddaf9d67dac688d626ed5ae17421734"),
+    (dict(n_classes=4, samples_per_class=6, side=16, channels=1,
+          class_noise=(0.02, 0.3, 0.0, 0.12), seed=11, split="train"),
+     "8004a0e38d3150839e139a804782866797246a05afb1a0ccb281e3c7ad974633",
+     "b712b461082675ff9abb37d124bf685fbff24d77ac2e559f6b875e4da33a606f"),
+    (dict(n_classes=2, samples_per_class=3, side=16, channels=3,
+          class_noise=(0.3, 0.0), seed=5, split="test"),
+     "9fdea68829ad1f376b68743b06dd29dfb3d743f0c60dad37d321ac3be41a1003",
+     "0020bd656ca1c80cc5854d42f68b0ba484c370f6c4757fcb0809168482318e6e"),
+    # the directional experiment's training set
+    (dict(n_classes=10, samples_per_class=60, side=16,
+          class_noise=tuple(np.linspace(0.02, 0.3, 10)), seed=3),
+     "9cd59e89daf555840c41427b815fd4935e66b32f29e76195c7ba5b3f2de264d9",
+     "cab70c4e3ef902db48e7dd505a614a4168ffea6af26cddfab1bca9e94600005b"),
+]
+
+
+@pytest.mark.parametrize("spec, images_sha256, labels_sha256", GENERATOR_SHA256,
+                         ids=["rgb8-train", "rgb8-test", "gray16-train", "rgb16-test",
+                              "directional16-train"])
+def test_generator_matches_the_pinned_hashes(spec, images_sha256, labels_sha256):
+    ds = D.generate_synthetic(D.SyntheticSpec(**spec))
+    assert hashlib.sha256(ds.images.tobytes()).hexdigest() == images_sha256
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == labels_sha256
 
 
 def test_pixels_stay_in_unit_interval():
