@@ -17,7 +17,7 @@ from . import continual as C
 from . import data as D
 from .config import ConfigError, RunConfig, _is_number, config_to_dict, parse_config
 from .gradcheck import run_all_checks
-from .model import IncrementalModel
+from .model import IncrementalModel, format_bytes
 from .seeding import stream_rng, stream_seed
 
 
@@ -30,14 +30,10 @@ def _generate(spec: D.SyntheticSpec, per_class_key: str) -> D.Dataset:
             return D.generate_synthetic(spec)
         except MemoryError:
             pass
-    shown, unit = float(size), 0
-    while shown >= 1024 and unit < 6:
-        shown, unit = shown / 1024, unit + 1
     raise ValueError(
         f"$.dataset.classes {spec.n_classes} x $.dataset.{per_class_key} "
         f"{spec.samples_per_class} x $.dataset.channels {spec.channels} x "
-        f"$.dataset.side {spec.side}^2 float64 pixels need "
-        f"{shown:.3g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB', 'EiB')[unit]}, "
+        f"$.dataset.side {spec.side}^2 float64 pixels need {format_bytes(size)}, "
         "more than can be allocated")
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as LS
 from .autodiff import Tensor
-from .model import AggregationBlock, IncrementalModel, ModelConfig, SelfAttentionBlock
+from .model import (AggregationBlock, IncrementalModel, ModelConfig, SelfAttentionBlock,
+                    _block_specs, draw_parameters)
 
 MICRO_CONFIG = ModelConfig(image_side=8, channels=1, patch_side=4, embed_dim=8,
                            heads=2, msa_blocks=1, tsa_blocks=1)
@@ -99,8 +100,10 @@ def _attention_case(rng: np.random.Generator, heads: int = 1) -> Callable:
 
 
 def _block_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]]:
-    msa = SelfAttentionBlock(MICRO_CONFIG, np.random.default_rng(101))
-    tsa = AggregationBlock(MICRO_CONFIG, np.random.default_rng(102))
+    msa = SelfAttentionBlock(MICRO_CONFIG, draw_parameters(
+        _block_specs(MICRO_CONFIG, "msa"), np.random.default_rng(101)))
+    tsa = AggregationBlock(MICRO_CONFIG, draw_parameters(
+        _block_specs(MICRO_CONFIG, "tsa"), np.random.default_rng(102)))
     sel_seq = ad.constant(rng.normal(size=(3, 8)))
     sel_row = ad.constant(rng.normal(size=(1, 8)))
     z_fixed = ad.constant(rng.normal(size=(5, 8)))

@@ -15,12 +15,18 @@ views and keeps no copy of them, and each residual is folded into the
 projection that feeds it. Parameter tensors are float64 and live on the
 autodiff graph; frozen snapshots hold detached copies only. ``predict`` runs
 under ``ad.no_grad()`` and records no graph.
+
+Every parameter's name, shape, init and the config fields that set its shape
+are declared once, in ``_parameter_specs`` (a block's in ``_block_specs``).
+``draw_parameters`` builds the model's tensors from that table, each block
+reads its own slice of them, and ``load_checkpoint`` checks a file against it.
 """
 from __future__ import annotations
 
 import copy
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -75,51 +81,81 @@ class ModelConfig:
         return self.embed_dim * (2 if self.classifier_input == "feature_cls" else 1)
 
 
-def _weight(rng: np.random.Generator, shape) -> Tensor:
-    return ad.parameter(rng.normal(0.0, INIT_STD, size=shape))
+def _block_specs(cfg: ModelConfig, kind: str):
+    """Yield (name, shape, init, fields) for each parameter of one "msa" block (norms
+    norm1, norm2; projections w_*) or "tsa" block (normq, normz, norm2; v_*)."""
+    d, hidden = cfg.embed_dim, cfg.embed_dim * cfg.mlp_ratio
+    width, mlp = ("embed_dim",), ("embed_dim", "mlp_ratio")
+    norms, proj = (("norm1",), "w") if kind == "msa" else (("normq", "normz"), "v")
+    for norm in norms + ("norm2",):
+        yield f"{norm}_gain", (d,), "ones", width
+        yield f"{norm}_bias", (d,), "zeros", width
+    for role in "qkvo":
+        yield f"{proj}_{role}", (d, d), "fan_in", width
+    yield "mlp.w1", (d, hidden), "fan_in", mlp
+    yield "mlp.b1", (hidden,), "zeros", mlp
+    yield "mlp.w2", (hidden, d), "fan_in", mlp
+    yield "mlp.b2", (d,), "zeros", width
 
 
-def _projection(rng: np.random.Generator, shape) -> Tensor:
-    """Fan-in-scaled init so matrix products preserve activation scale.
-
-    A fixed small std starves the aggregation head (no residual carries the
-    input signal around it), collapsing class separation at init.
-    """
-    return ad.parameter(rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape))
-
-
-def _zeros(shape) -> Tensor:
-    return ad.parameter(np.zeros(shape))
-
-
-def _ones(shape) -> Tensor:
-    return ad.parameter(np.ones(shape))
-
-
-class Mlp:
-    """Two affine maps with a gelu in between; hidden width = ratio * dim."""
-
-    def __init__(self, dim: int, ratio: int, rng: np.random.Generator):
-        hidden = dim * ratio
-        self.w1 = _projection(rng, (dim, hidden))
-        self.b1 = _zeros(hidden)
-        self.w2 = _projection(rng, (hidden, dim))
-        self.b2 = _zeros(dim)
-
-    def __call__(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
-        """The MLP of x, plus `skip` folded into its output projection."""
-        return ad.linear(ad.gelu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2, skip)
+def _parameter_specs(cfg: ModelConfig, n_classes: int):
+    """Yield (name, shape, init, fields) for every parameter of
+    IncrementalModel(cfg, n_classes), in the order its initializer draws them.
+    `fields` are the ModelConfig fields (and n_classes) the shape derives from."""
+    d, width = cfg.embed_dim, ("embed_dim",)
+    yield "patch_proj", (cfg.patch_dim, d), "fan_in", ("channels", "patch_side", "embed_dim")
+    yield "patch_bias", (d,), "zeros", width
+    yield "cls_token", (1, d), "normal", width
+    yield "pos_token", (cfg.n_patches + 1, d), "normal", ("image_side", "patch_side", "embed_dim")
+    for kind, count in (("msa", cfg.msa_blocks), ("tsa", cfg.tsa_blocks)):
+        for i in range(count):
+            for name, shape, init, fields in _block_specs(cfg, kind):
+                yield f"{kind}{i}.{name}", shape, init, fields
+    yield "task_embedding", (1, d), "normal", width
+    yield ("classifier.weight", (n_classes, cfg.classifier_width), "normal",
+           ("n_classes", "embed_dim", "classifier_input"))
+    yield "classifier.bias", (n_classes,), "zeros", ("n_classes",)
 
 
-def _block_parameters(block, prefix: str) -> dict[str, Tensor]:
-    """A block's tensor attributes by `prefix.attr`, nested Mlp ones included."""
+def format_bytes(size: int) -> str:
+    """`size` bytes in the largest binary unit up to EiB, to 3 significant digits."""
+    shown, unit = float(size), 0
+    while shown >= 1024 and unit < 6:
+        shown, unit = shown / 1024, unit + 1
+    return f"{shown:.3g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB', 'EiB')[unit]}"
+
+
+def draw_parameters(specs, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Parameter tensors for (name, shape, init, fields) specs, drawn from rng in
+    spec order ("zeros" and "ones" draw nothing). A tensor too large to allocate
+    is a ValueError naming its spec."""
     params: dict[str, Tensor] = {}
-    for attr, value in vars(block).items():
-        if isinstance(value, Tensor):
-            params[f"{prefix}.{attr}"] = value
-        elif isinstance(value, Mlp):
-            params.update(_block_parameters(value, f"{prefix}.{attr}"))
+    for name, shape, init, fields in specs:
+        size = math.prod(shape) * 8
+        try:
+            if size > sys.maxsize:  # numpy cannot describe a larger array
+                raise MemoryError
+            if init == "normal":
+                data = rng.normal(0.0, INIT_STD, size=shape)
+            elif init == "fan_in":
+                # fan-in-scaled so matrix products preserve activation scale: a fixed
+                # small std starves the aggregation head (no residual carries the input
+                # signal around it), collapsing class separation at init
+                data = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape)
+            else:
+                data = np.zeros(shape) if init == "zeros" else np.ones(shape)
+            params[name] = ad.parameter(data)
+        except MemoryError:
+            raise ValueError(
+                f"model parameter {name!r} of shape {shape}, set by {', '.join(fields)}, "
+                f"needs {format_bytes(size)} of float64, more than can be allocated") from None
     return params
+
+
+def _mlp(p: dict[str, Tensor], x: Tensor, skip: Tensor) -> Tensor:
+    """A block's MLP of x, plus `skip` folded into its output projection."""
+    hidden = ad.gelu(ad.linear(x, p["mlp.w1"], p["mlp.b1"]))
+    return ad.linear(hidden, p["mlp.w2"], p["mlp.b2"], skip)
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
@@ -131,6 +167,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
     return ad.attention(ad.scale(q, 1.0 / math.sqrt(q.shape[1] // heads)), k, v, batch, heads)
 
 
+@dataclass
 class SelfAttentionBlock:
     """Pre-normed multi-head self-attention with a residual MLP tail.
 
@@ -140,59 +177,48 @@ class SelfAttentionBlock:
     only v, for p·v, and drops that copy at once). Both residuals are the
     ``skip`` of the projection that feeds them, the output projection and the
     MLP's second map, so neither keeps a product the backward pass never reads.
+    ``p`` holds the block's tensors under the names, shapes and inits that
+    ``_block_specs(cfg, "msa")`` declares.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        d = cfg.embed_dim
-        self.cfg = cfg
-        self.norm1_gain, self.norm1_bias = _ones(d), _zeros(d)
-        self.w_q = _projection(rng, (d, d))
-        self.w_k = _projection(rng, (d, d))
-        self.w_v = _projection(rng, (d, d))
-        self.w_o = _projection(rng, (d, d))
-        self.norm2_gain, self.norm2_bias = _ones(d), _zeros(d)
-        self.mlp = Mlp(d, cfg.mlp_ratio, rng)
+    cfg: ModelConfig
+    p: dict[str, Tensor]
 
     def forward_rows(self, z: Tensor, batch: int) -> Tensor:
         """z holds `batch` samples stacked as consecutive row blocks."""
-        zn = ad.layer_norm(z, self.norm1_gain, self.norm1_bias)
-        heads = _attend(ad.matmul(zn, self.w_q), ad.matmul(zn, self.w_k),
-                        ad.matmul(zn, self.w_v), batch, self.cfg.heads)
-        attended = ad.linear(heads, self.w_o, skip=z)
-        normed = ad.layer_norm(attended, self.norm2_gain, self.norm2_bias)
-        return self.mlp(normed, skip=attended)
+        p = self.p
+        zn = ad.layer_norm(z, p["norm1_gain"], p["norm1_bias"])
+        heads = _attend(ad.matmul(zn, p["w_q"]), ad.matmul(zn, p["w_k"]),
+                        ad.matmul(zn, p["w_v"]), batch, self.cfg.heads)
+        attended = ad.linear(heads, p["w_o"], skip=z)
+        normed = ad.layer_norm(attended, p["norm2_gain"], p["norm2_bias"])
+        return _mlp(p, normed, skip=attended)
 
 
+@dataclass
 class AggregationBlock:
     """Cross-attention from one query embedding onto the patch sequence.
 
     Output is the projected head concat plus an MLP term; deliberately no
     residual from the incoming query embedding. q, k and v are read as views,
     as in the self-attention block, and the projected concat is the ``skip``
-    of the MLP's second map.
+    of the MLP's second map. ``p`` holds the block's tensors under the names,
+    shapes and inits that ``_block_specs(cfg, "tsa")`` declares.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        d = cfg.embed_dim
-        self.cfg = cfg
-        self.normq_gain, self.normq_bias = _ones(d), _zeros(d)
-        self.normz_gain, self.normz_bias = _ones(d), _zeros(d)
-        self.v_q = _projection(rng, (d, d))
-        self.v_k = _projection(rng, (d, d))
-        self.v_v = _projection(rng, (d, d))
-        self.v_o = _projection(rng, (d, d))
-        self.norm2_gain, self.norm2_bias = _ones(d), _zeros(d)
-        self.mlp = Mlp(d, cfg.mlp_ratio, rng)
+    cfg: ModelConfig
+    p: dict[str, Tensor]
 
     def forward_rows(self, e: Tensor, z: Tensor, batch: int) -> Tensor:
         """e holds one query row per sample; z the stacked patch rows."""
-        en = ad.layer_norm(e, self.normq_gain, self.normq_bias)
-        zn = ad.layer_norm(z, self.normz_gain, self.normz_bias)
-        heads = _attend(ad.matmul(en, self.v_q), ad.matmul(zn, self.v_k),
-                        ad.matmul(zn, self.v_v), batch, self.cfg.heads)
-        aggregated = ad.matmul(heads, self.v_o)
-        normed = ad.layer_norm(aggregated, self.norm2_gain, self.norm2_bias)
-        return self.mlp(normed, skip=aggregated)
+        p = self.p
+        en = ad.layer_norm(e, p["normq_gain"], p["normq_bias"])
+        zn = ad.layer_norm(z, p["normz_gain"], p["normz_bias"])
+        heads = _attend(ad.matmul(en, p["v_q"]), ad.matmul(zn, p["v_k"]),
+                        ad.matmul(zn, p["v_v"]), batch, self.cfg.heads)
+        aggregated = ad.matmul(heads, p["v_o"])
+        normed = ad.layer_norm(aggregated, p["norm2_gain"], p["norm2_bias"])
+        return _mlp(p, normed, skip=aggregated)
 
 
 def image_to_patches(images: np.ndarray, patch_side: int) -> np.ndarray:
@@ -220,17 +246,18 @@ class IncrementalModel:
             raise ValueError("model needs at least one class")
         self.cfg = cfg
         self.n_classes = n_classes
-        d = cfg.embed_dim
-        self.patch_proj = _projection(rng, (cfg.patch_dim, d))
-        self.patch_bias = _zeros(d)
-        self.cls_token = _weight(rng, (1, d))
-        self.pos_token = _weight(rng, (cfg.n_patches + 1, d))
-        self.msa = [SelfAttentionBlock(cfg, rng) for _ in range(cfg.msa_blocks)]
-        self.tsa = [AggregationBlock(cfg, rng) for _ in range(cfg.tsa_blocks)]
-        self.task_embedding = _weight(rng, (1, d))
-        self.cls_weight = _weight(rng, (n_classes, cfg.classifier_width))
-        self.cls_bias = _zeros(n_classes)
+        self.params = draw_parameters(_parameter_specs(cfg, n_classes), rng)
+        groups: dict[str, dict[str, Tensor]] = {}  # "msa0" -> {"w_q": ...}, by first dot
+        for name, tensor in self.params.items():
+            group, _, rest = name.partition(".")
+            groups.setdefault(group, {})[rest] = tensor
+        self.msa = [SelfAttentionBlock(cfg, groups[f"msa{i}"]) for i in range(cfg.msa_blocks)]
+        self.tsa = [AggregationBlock(cfg, groups[f"tsa{i}"]) for i in range(cfg.tsa_blocks)]
         self.frozen = False
+
+    def parameters(self) -> dict[str, Tensor]:
+        """Every parameter tensor by name, in draw order (a new dict, the same tensors)."""
+        return dict(self.params)
 
     # -- forward ------------------------------------------------------------
 
@@ -247,13 +274,14 @@ class IncrementalModel:
         patches = image_to_patches(images, self.cfg.patch_side)
         if patches.dtype == np.uint8:
             patches = patches / 255.0
-        z_e = ad.linear(ad.constant(patches), self.patch_proj, self.patch_bias)
+        p = self.params
+        z_e = ad.linear(ad.constant(patches), p["patch_proj"], p["patch_bias"])
         # one row per sample: its n patch rows, then its class token
         d = self.cfg.embed_dim
-        per_sample = ad.concat([ad.reshape(z_e, (b, n * d)), ad.tile_rows(self.cls_token, b)],
+        per_sample = ad.concat([ad.reshape(z_e, (b, n * d)), ad.tile_rows(p["cls_token"], b)],
                                axis=1)
         stacked = ad.reshape(per_sample, (b * (n + 1), d))
-        return ad.add(stacked, ad.tile_rows(self.pos_token, b))
+        return ad.add(stacked, ad.tile_rows(p["pos_token"], b))
 
     def forward_batch(self, images: np.ndarray) -> tuple[Tensor, Tensor]:
         """(b, C, S, S) -> (b, n_classes) logits and (b, embed_dim) features.
@@ -265,7 +293,7 @@ class IncrementalModel:
         z = self._embed_batch(images)
         for block in self.msa:
             z = block.forward_rows(z, b)
-        e = ad.tile_rows(self.task_embedding, b)
+        e = ad.tile_rows(self.params["task_embedding"], b)
         for block in self.tsa:
             e = block.forward_rows(e, z, b)
         if self.cfg.classifier_input == "feature_cls":
@@ -279,8 +307,8 @@ class IncrementalModel:
         # weight row only, so old-class logits are bit-identical across
         # classifier expansions (a GEMM's blocking depends on the row count)
         width = self.cfg.classifier_width
-        prod = ad.mul(ad.reshape(head_in, (b, 1, width)), self.cls_weight)
-        logits = ad.add(ad.sum_(prod, axis=2), self.cls_bias)
+        prod = ad.mul(ad.reshape(head_in, (b, 1, width)), self.params["classifier.weight"])
+        logits = ad.add(ad.sum_(prod, axis=2), self.params["classifier.bias"])
         return logits, e
 
     def predict(self, image: np.ndarray) -> np.ndarray:
@@ -288,24 +316,6 @@ class IncrementalModel:
         with ad.no_grad():
             logits, _ = self.forward_batch(image[np.newaxis])
             return ad.softmax(logits, axis=1).data[0]
-
-    # -- parameters ----------------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {
-            "patch_proj": self.patch_proj,
-            "patch_bias": self.patch_bias,
-            "cls_token": self.cls_token,
-            "pos_token": self.pos_token,
-            "task_embedding": self.task_embedding,
-            "classifier.weight": self.cls_weight,
-            "classifier.bias": self.cls_bias,
-        }
-        for i, block in enumerate(self.msa):
-            params.update(_block_parameters(block, f"msa{i}"))
-        for i, block in enumerate(self.tsa):
-            params.update(_block_parameters(block, f"tsa{i}"))
-        return params
 
     # -- task lifecycle -------------------------------------------------------
 
@@ -318,9 +328,10 @@ class IncrementalModel:
         new_rows = rng.normal(0.0, INIT_STD, size=(k_new, self.cfg.classifier_width))
         # in place, so an optimizer holding these tensors keeps tracking them; their
         # gradients have the old shape and are dropped
-        self.cls_weight.data = np.vstack([self.cls_weight.data, new_rows])
-        self.cls_bias.data = np.concatenate([self.cls_bias.data, np.zeros(k_new)])
-        self.cls_weight._grad = self.cls_bias._grad = None
+        weight, bias = self.params["classifier.weight"], self.params["classifier.bias"]
+        weight.data = np.vstack([weight.data, new_rows])
+        bias.data = np.concatenate([bias.data, np.zeros(k_new)])
+        weight._grad = bias._grad = None
         self.n_classes += k_new
 
     def snapshot(self) -> "IncrementalModel":
@@ -345,34 +356,6 @@ class IncrementalModel:
                 entry = {"shape": list(tensor.shape), "data": tensor.data.reshape(-1).tolist()}
                 out.write((", " if i else "") + f"{json.dumps(name)}: {json.dumps(entry)}")
             out.write("}}")
-
-
-def _parameter_shapes(cfg: ModelConfig, n_classes: int):
-    """Yield (name, shape, the fields it derives from) for every parameter of
-    IncrementalModel(cfg, n_classes), allocating nothing."""
-    d, hidden = cfg.embed_dim, cfg.embed_dim * cfg.mlp_ratio
-    width, mlp = ("config.embed_dim",), ("config.embed_dim", "config.mlp_ratio")
-    yield "classifier.bias", (n_classes,), ("n_classes",)
-    yield ("classifier.weight", (n_classes, cfg.classifier_width),
-           ("n_classes", "config.embed_dim", "config.classifier_input"))
-    yield "patch_proj", (cfg.patch_dim, d), ("config.channels", "config.patch_side") + width
-    yield "pos_token", (cfg.n_patches + 1, d), ("config.image_side", "config.patch_side") + width
-    yield "patch_bias", (d,), width
-    yield "cls_token", (1, d), width
-    yield "task_embedding", (1, d), width
-    for kind, count, norms, weights in (
-            ("msa", cfg.msa_blocks, ("norm1", "norm2"), ("w_q", "w_k", "w_v", "w_o")),
-            ("tsa", cfg.tsa_blocks, ("normq", "normz", "norm2"), ("v_q", "v_k", "v_v", "v_o"))):
-        for i in range(count):
-            for norm in norms:
-                yield f"{kind}{i}.{norm}_gain", (d,), width
-                yield f"{kind}{i}.{norm}_bias", (d,), width
-            for weight in weights:
-                yield f"{kind}{i}.{weight}", (d, d), width
-            yield f"{kind}{i}.mlp.w1", (d, hidden), mlp
-            yield f"{kind}{i}.mlp.b1", (hidden,), mlp
-            yield f"{kind}{i}.mlp.w2", (hidden, d), mlp
-            yield f"{kind}{i}.mlp.b2", (d,), width
 
 
 _JSON_KINDS = {int: "an integer", str: "a string", dict: "an object"}
@@ -417,23 +400,24 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
                              "not a list of non-negative integers")
         try:
             params[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an integer past the largest float
             raise ValueError(f"checkpoint params entry {name!r} is malformed: {exc}") from None
         if not np.isfinite(params[name]).all():
             raise ValueError(f"checkpoint params entry {name!r} holds a non-finite value")
     # every shape is compared before the skeleton is built, so a wild extent cannot size it
     cfg, n_classes = ModelConfig(**payload["config"]), payload["n_classes"]
     unused = set(params)
-    for name, shape, fields in _parameter_shapes(cfg, n_classes):
+    for name, shape, _, fields in _parameter_specs(cfg, n_classes):
         if name not in params:
             raise ValueError(f"checkpoint params entry {name!r} is missing")
         if params[name].shape != shape:
+            named = (repr(f if f == "n_classes" else f"config.{f}") for f in fields)
             raise ValueError(f"checkpoint params entry {name!r} has shape {params[name].shape}, "
-                             f"not the {shape} that {', '.join(map(repr, fields))} set")
+                             f"not the {shape} that {', '.join(named)} set")
         unused.discard(name)
     if unused:
         raise ValueError(f"checkpoint params entry {min(unused)!r} is not in the architecture")
     model = IncrementalModel(cfg, n_classes, np.random.default_rng(0))  # overwritten below
-    for name, tensor in model.parameters().items():
+    for name, tensor in model.params.items():
         tensor.data = params[name]
     return model, payload["task_index"]

@@ -213,11 +213,11 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
     assert np.array_equal(before, after[:3])
 
     # task-shared embedding hands off unchanged through snapshot + expansion
-    e_end = probe.task_embedding.data.copy()
+    e_end = probe.params["task_embedding"].data.copy()
     frozen = probe.snapshot()
     probe.expand_classifier(2, stream_rng(9, "expand2"))
-    assert np.array_equal(probe.task_embedding.data, e_end)
-    assert np.array_equal(frozen.task_embedding.data, e_end)
+    assert np.array_equal(probe.params["task_embedding"].data, e_end)
+    assert np.array_equal(frozen.params["task_embedding"].data, e_end)
 
     # frozen old model is immutable under further training of the live model
     frozen_before = frozen.predict(image)

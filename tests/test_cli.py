@@ -264,6 +264,24 @@ def test_train_oversized_synthetic_dataset_exits_2_naming_its_extents(tmp_path, 
     assert named in err and f"need {size}" in err
 
 
+@pytest.mark.parametrize("model, named, size", [
+    ({"embed_dim": 2**40}, "'patch_proj' of shape (16, 1099511627776), set by channels, "
+     "patch_side, embed_dim", "128 TiB"),
+    ({"mlp_ratio": 2**40}, "'msa0.mlp.w1' of shape (8, 8796093022208), set by embed_dim, "
+     "mlp_ratio", "512 TiB"),
+    # past the largest array numpy can describe
+    ({"mlp_ratio": 2**60}, "'msa0.mlp.w1' of shape (8, 9223372036854775808), set by "
+     "embed_dim, mlp_ratio", "512 EiB"),
+], ids=["embed_dim", "mlp_ratio", "mlp_ratio-past-maxsize"])
+def test_train_oversized_model_exits_2_naming_the_parameter_and_its_fields(tmp_path, capsys,
+                                                                           model, named, size):
+    config = write_config(tmp_path, minimal_config(model=model))
+    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and f"needs {size} of float64" in err
+
+
 def test_train_missing_cifar_files_exit_2(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

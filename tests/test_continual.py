@@ -344,11 +344,11 @@ def test_identical_seeds_give_byte_identical_metrics(tmp_path):
 
 def test_task_embedding_survives_expansion_and_snapshot():
     stream, train, test, model = tiny_run_setup(n_classes=4, tasks=2)
-    e0 = model.task_embedding.data.copy()
+    e0 = model.params["task_embedding"].data.copy()
     frozen = model.snapshot()
     model.expand_classifier(2, np.random.default_rng(0))
-    np.testing.assert_array_equal(model.task_embedding.data, e0)
-    np.testing.assert_array_equal(frozen.task_embedding.data, e0)
+    np.testing.assert_array_equal(model.params["task_embedding"].data, e0)
+    np.testing.assert_array_equal(frozen.params["task_embedding"].data, e0)
 
 
 def test_snapshot_is_bit_identical_to_live_model():

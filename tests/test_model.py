@@ -1,9 +1,14 @@
 """Tests for the incremental network: embeddings, attention blocks, classifier growth."""
 import dataclasses
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfclab import autodiff as ad
 from hfclab import losses as LS
@@ -12,7 +17,8 @@ from hfclab.model import (
     IncrementalModel,
     ModelConfig,
     SelfAttentionBlock,
-    _parameter_shapes,
+    _block_specs,
+    draw_parameters,
     image_to_patches,
     load_checkpoint,
 )
@@ -23,6 +29,12 @@ MICRO = ModelConfig(image_side=8, channels=1, patch_side=4, embed_dim=8, heads=2
 
 def make_model(n_classes=3, cfg=MICRO, seed=0):
     return IncrementalModel(cfg, n_classes, np.random.default_rng(seed))
+
+
+def make_block(block_class, seed):
+    kind = "msa" if block_class is SelfAttentionBlock else "tsa"
+    return block_class(MICRO, draw_parameters(_block_specs(MICRO, kind),
+                                              np.random.default_rng(seed)))
 
 
 def rand_image(cfg, seed=0):
@@ -69,10 +81,11 @@ def test_patch_count_from_config():
 def test_zero_image_embedding_is_cls_plus_position():
     cfg = MICRO
     model = make_model(cfg=cfg)
-    model.patch_bias.data[:] = 0.0
+    model.params["patch_bias"].data[:] = 0.0
     z0 = model._embed_batch(np.zeros((1, cfg.channels, cfg.image_side, cfg.image_side)))
-    expected = np.vstack([np.zeros((cfg.n_patches, cfg.embed_dim)), model.cls_token.data])
-    expected = expected + model.pos_token.data
+    expected = np.vstack([np.zeros((cfg.n_patches, cfg.embed_dim)),
+                          model.params["cls_token"].data])
+    expected = expected + model.params["pos_token"].data
     np.testing.assert_array_equal(z0.data, expected)
 
 
@@ -82,7 +95,7 @@ def test_identical_patches_embed_identically_before_position():
     image = np.tile(np.arange(16.0).reshape(1, 4, 4), (1, 2, 2)) / 16.0
     patches = image_to_patches(image[np.newaxis], cfg.patch_side)
     assert np.all(patches == patches[0])
-    projected = patches @ model.patch_proj.data + model.patch_bias.data
+    projected = patches @ model.params["patch_proj"].data + model.params["patch_bias"].data
     assert np.all(projected == projected[0])
 
 
@@ -117,7 +130,7 @@ def test_embed_rejects_wrong_extent():
 
 def test_msa_attention_rows_sum_to_one(monkeypatch):
     recorded = record_probabilities(monkeypatch)
-    block = SelfAttentionBlock(MICRO, np.random.default_rng(3))
+    block = make_block(SelfAttentionBlock, 3)
     z = ad.constant(np.random.default_rng(4).normal(size=(5, 8)))
     block.forward_rows(z, 1)
     [probs] = recorded
@@ -126,17 +139,17 @@ def test_msa_attention_rows_sum_to_one(monkeypatch):
 
 
 def test_msa_is_identity_when_output_weights_zero():
-    block = SelfAttentionBlock(MICRO, np.random.default_rng(5))
-    block.w_o.data[:] = 0.0
-    block.mlp.w2.data[:] = 0.0
-    block.mlp.b2.data[:] = 0.0
+    block = make_block(SelfAttentionBlock, 5)
+    block.p["w_o"].data[:] = 0.0
+    block.p["mlp.w2"].data[:] = 0.0
+    block.p["mlp.b2"].data[:] = 0.0
     z = np.random.default_rng(6).normal(size=(5, 8))
     out = block.forward_rows(ad.constant(z), 1)
     np.testing.assert_array_equal(out.data, z)
 
 
 def test_msa_block_gradient_wrt_input():
-    block = SelfAttentionBlock(MICRO, np.random.default_rng(7))
+    block = make_block(SelfAttentionBlock, 7)
     sel = ad.constant(np.random.default_rng(8).normal(size=(3, 8)))
 
     def f(t):
@@ -152,7 +165,7 @@ def test_msa_block_gradient_wrt_input():
 
 @pytest.mark.parametrize("n_rows", [5, 17, 65])
 def test_tsa_output_width_independent_of_sequence_length(n_rows):
-    block = AggregationBlock(MICRO, np.random.default_rng(10))
+    block = make_block(AggregationBlock, 10)
     e = ad.constant(np.random.default_rng(11).normal(size=(1, 8)))
     z = ad.constant(np.random.default_rng(12).normal(size=(n_rows, 8)))
     assert block.forward_rows(e, z, 1).shape == (1, 8)
@@ -160,7 +173,7 @@ def test_tsa_output_width_independent_of_sequence_length(n_rows):
 
 def test_tsa_uniform_attention_over_identical_rows(monkeypatch):
     recorded = record_probabilities(monkeypatch)
-    block = AggregationBlock(MICRO, np.random.default_rng(13))
+    block = make_block(AggregationBlock, 13)
     row = np.random.default_rng(14).normal(size=8)
     z = ad.constant(np.tile(row, (6, 1)))
     e1 = ad.constant(np.random.default_rng(15).normal(size=(1, 8)))
@@ -174,7 +187,7 @@ def test_tsa_uniform_attention_over_identical_rows(monkeypatch):
 
 
 def test_tsa_block_gradient_wrt_query_and_context():
-    block = AggregationBlock(MICRO, np.random.default_rng(17))
+    block = make_block(AggregationBlock, 17)
     rng = np.random.default_rng(18)
     z0 = rng.normal(size=(5, 8))
     e0 = rng.normal(size=(1, 8))
@@ -213,7 +226,7 @@ def test_feature_cls_head_width():
     cfg = ModelConfig(image_side=8, channels=1, patch_side=4, embed_dim=8, heads=2,
                       msa_blocks=1, tsa_blocks=1, classifier_input="feature_cls")
     model = IncrementalModel(cfg, 2, np.random.default_rng(0))
-    assert model.cls_weight.shape == (2, 16)
+    assert model.params["classifier.weight"].shape == (2, 16)
     logits, _ = model.forward_batch(rand_image(cfg)[np.newaxis])
     assert logits.shape == (1, 2)
 
@@ -346,8 +359,8 @@ def test_expansion_twice_matches_single_expansion_on_old_rows():
     m1.expand_classifier(5, np.random.default_rng(1))
     m1.expand_classifier(5, np.random.default_rng(2))
     m2.expand_classifier(10, np.random.default_rng(3))
-    np.testing.assert_array_equal(m1.cls_weight.data[:2], m2.cls_weight.data[:2])
-    np.testing.assert_array_equal(m1.cls_bias.data[:2], m2.cls_bias.data[:2])
+    for name in ("classifier.weight", "classifier.bias"):
+        np.testing.assert_array_equal(m1.params[name].data[:2], m2.params[name].data[:2])
 
 
 def test_expansion_rejects_zero():
@@ -360,7 +373,7 @@ def test_new_row_statistics():
                       msa_blocks=1, tsa_blocks=1)
     model = IncrementalModel(cfg, 2, np.random.default_rng(40))
     model.expand_classifier(5, np.random.default_rng(41))
-    new_rows = model.cls_weight.data[2:]
+    new_rows = model.params["classifier.weight"].data[2:]
     n = new_rows.size  # 5 * embed_dim draws from normal(0, 0.02)
     assert abs(new_rows.mean()) < 3 * 0.02 / np.sqrt(n)
 
@@ -396,8 +409,8 @@ def test_snapshot_holds_detached_copies_that_keep_their_shape():
         assert not np.shares_memory(tensor.data, live[name].data), name
         np.testing.assert_array_equal(tensor.data, live[name].data)
     model.expand_classifier(2, np.random.default_rng(28))
-    assert frozen.n_classes == 3 and frozen.cls_bias.shape == (3,)
-    assert frozen.cls_weight.shape == (3, MICRO.classifier_width)
+    assert frozen.n_classes == 3 and frozen.params["classifier.bias"].shape == (3,)
+    assert frozen.params["classifier.weight"].shape == (3, MICRO.classifier_width)
 
 
 def test_snapshot_refuses_expansion():
@@ -498,6 +511,8 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
                  "'classifier.bias'", id="bias-null-nan"),
     pytest.param(("params", "classifier.bias", "data"), [0.0, float("inf"), 0.0],
                  "'classifier.bias'", id="bias-infinity"),
+    pytest.param(("params", "classifier.bias", "data"), [0.0, 10**400, 0.0],
+                 "'classifier.bias'", id="bias-integer-past-the-largest-float"),
 ])
 def test_checkpoint_wrongly_typed_field_is_named(tmp_path, path, value, named):
     file = tmp_path / "model.json"
@@ -512,13 +527,19 @@ def test_checkpoint_wrongly_typed_field_is_named(tmp_path, path, value, named):
         load_checkpoint(file)
 
 
-@pytest.mark.parametrize("cfg", [MICRO, ModelConfig(), ModelConfig(
-    image_side=12, channels=3, patch_side=3, embed_dim=6, heads=3, msa_blocks=0, tsa_blocks=3,
-    mlp_ratio=2, classifier_input="feature_cls")])
-def test_parameter_shapes_are_those_of_the_built_model(cfg):
-    model = IncrementalModel(cfg, 5, np.random.default_rng(0))
-    shapes = [(name, shape) for name, shape, _ in _parameter_shapes(cfg, 5)]
-    assert sorted(shapes) == sorted((name, t.shape) for name, t in model.parameters().items())
+@pytest.mark.parametrize("cfg, sha256", [
+    (MICRO, "72dbd6ff05f7226d9885f6ce1fb88556f779699a8691c61300944c66e715c65c"),
+    (ModelConfig(), "20dc8908d7d4e754f87bfe9e5026bc0fc728f9890cb5c22e17a63240d282d845"),
+    (ModelConfig(image_side=12, channels=3, patch_side=3, embed_dim=6, heads=3, msa_blocks=0,
+                 tsa_blocks=3, mlp_ratio=2, classifier_input="feature_cls"),
+     "6186ced92ef6a13308969edefe2eaf4f5bb307d477fd274bc21748005545a4ec"),
+], ids=["micro", "default", "feature_cls-tsa3"])
+def test_fresh_model_checkpoint_pins_the_init_draw_order(tmp_path, cfg, sha256):
+    # a reordered draw or a changed init kind changes these bytes, also on configs the
+    # demo run never builds
+    path = tmp_path / "model.json"
+    IncrementalModel(cfg, 5, np.random.default_rng(0)).save_checkpoint(path, task_index=1)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("key", ["data", "shape"])
@@ -537,6 +558,78 @@ def test_checkpoint_that_is_not_an_object_is_rejected(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="JSON object"):
         load_checkpoint(path)
+
+
+def saved_micro_checkpoint() -> str:
+    """What save_checkpoint writes for a micro model grown from 3 to 5 classes."""
+    model = make_model(n_classes=3, seed=55)
+    model.expand_classifier(2, np.random.default_rng(56))
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save_checkpoint(Path(tmp) / "model.json", task_index=2)
+        return (Path(tmp) / "model.json").read_text()
+
+
+MICRO_PAYLOAD = saved_micro_checkpoint()
+# every path load_checkpoint reads: top-level keys, config keys, params entries and
+# their shape and data
+CHECKPOINT_PATHS = (
+    [(key,) for key in ("format_version", "task_index", "n_classes", "config", "params")]
+    + [("config", f.name) for f in dataclasses.fields(ModelConfig)]
+    + [("params", name) + tail for name in json.loads(MICRO_PAYLOAD)["params"]
+       for tail in ((), ("shape",), ("data",))])
+# json.loads yields any of these; NaN, +-Infinity and huge integers included, also past
+# the largest float
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-3, 40) | st.floats()
+                | st.integers(2**1024, 2**1030) | st.text(max_size=6)
+                | st.sampled_from(["feature", "feature_cls"]))
+json_values = st.recursive(json_scalars,
+                           lambda inner: st.lists(inner, max_size=5)
+                           | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+                           max_leaves=8)
+
+
+def like(value):
+    """Small integers for an integer, floats as many as a list holds: values near
+    enough to the saved ones that some fuzzed payloads still load."""
+    if isinstance(value, list):
+        return st.lists(st.floats(), min_size=len(value), max_size=len(value))
+    return st.integers(0, 16) if isinstance(value, int) else json_values
+
+
+@st.composite
+def fuzzed_checkpoints(draw):
+    """A saved micro checkpoint with one to three paths set to random JSON values or
+    deleted."""
+    payload = json.loads(MICRO_PAYLOAD)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(CHECKPOINT_PATHS))
+        target = payload
+        for parent in parents:
+            target = target.get(parent) if isinstance(target, dict) else None
+        if not isinstance(target, dict):  # an earlier mutation replaced a parent
+            continue
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = draw(json_values | like(target.get(key)))
+    return payload
+
+
+@settings(max_examples=400)
+@given(payload=fuzzed_checkpoints())
+def test_fuzzed_checkpoints_load_or_raise_value_error(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(payload))
+        try:
+            model, task_index = load_checkpoint(path)
+        except ValueError:
+            return
+        model.save_checkpoint(path, task_index)
+        again, task_again = load_checkpoint(path)
+    assert task_again == task_index and list(again.params) == list(model.params)
+    for name, tensor in model.params.items():
+        assert again.params[name].data.tobytes() == tensor.data.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
