@@ -273,40 +273,33 @@ def run_stream(
             # the memory stays empty until the first task has been herded
             pool = np.concatenate([np.flatnonzero(np.isin(train_labels, space)),
                                    np.array(memory.all_indices(), dtype=np.int64)])
-            use_relation = task_index > 0 and config.alpha2 > 0
-            pool_probs: np.ndarray | None = None
-            if use_relation and not config.flip_augment:
-                # frozen teacher, fixed pool: predictions are constant for the task
-                pool_probs, _ = MT.predict_outputs(old_model, train_set.images[pool])
-            elif use_relation:
-                # with flips only the orientation varies: memo[flipped, row] is
-                # predicted the first time a step draws it and read after that
-                memo = np.empty((2, len(pool), k_old))
-                known = np.zeros((2, len(pool)), dtype=bool)
+            # teacher[orient, row]: the frozen model's softmax row for pool[row], flipped
+            # when orient is 1; NaN until predicted, which a softmax row never is
+            teacher = None
+            if task_index > 0 and config.alpha2 > 0:
+                teacher = np.full((1 + config.flip_augment, len(pool), k_old), np.nan)
+                if not config.flip_augment:  # a fixed pool: predict all of it up front
+                    teacher[0], _ = MT.predict_outputs(old_model, train_set.images[pool])
 
             def train_step(rows: np.ndarray) -> float:
                 """One SGD step on pool[rows]; returns its loss. The step's graph, the
                 unused feature output included, is reachable only from these locals,
                 so it is freed on return, before the next step or evaluation starts."""
                 batch_idx = pool[rows]
-                images = train_set.images[batch_idx]
+                images = train_set.images[batch_idx]  # a fresh gather, so flipped in place
                 labels = train_labels[batch_idx]
+                flips = np.zeros(len(rows), dtype=bool)
                 if config.flip_augment:
                     flips = batch_rng.random(len(images)) < 0.5
-                    images = images.copy()
                     images[flips] = images[flips][..., ::-1]
                 logits, _ = model.forward_batch(images)
                 probs = ad.softmax(logits, axis=1)
                 old_probs = None
-                if use_relation:
-                    if pool_probs is not None:
-                        old_probs = pool_probs[rows]
-                    else:
-                        orient = flips.astype(np.intp)
-                        for i in np.flatnonzero(~known[orient, rows]):
-                            memo[orient[i], rows[i]] = old_model.predict(images[i])
-                        known[orient, rows] = True
-                        old_probs = memo[orient, rows]
+                if teacher is not None:
+                    orient = flips.astype(np.intp)
+                    for i in np.flatnonzero(np.isnan(teacher[orient, rows, 0])):
+                        teacher[orient[i], rows[i]] = old_model.predict(images[i])
+                    old_probs = teacher[orient, rows]
                 batch = LS.BatchView(probs, labels, class_to_task, k_old, len(space), old_probs)
                 loss = _batch_loss(batch, task_index, config)
                 optimizer.zero_grad()

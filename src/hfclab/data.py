@@ -185,7 +185,24 @@ def read_label_records(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def write_label_records(path: str | Path, coarse: np.ndarray, fine: np.ndarray,
                         pixels: np.ndarray) -> None:
+    """Write records that read_label_records reads back unchanged: one or more, integer
+    labels in [0, 100) and uint8 pixels of shape (n, 3, 32, 32). Anything else is a
+    ValueError naming the argument (and the first bad record), raised before writing."""
     n = len(fine)
+    if n == 0:
+        raise ValueError("fine holds no records; a record file needs at least one")
+    for name, labels in (("coarse", coarse), ("fine", fine)):
+        labels = np.asarray(labels)
+        if labels.shape != (n,) or labels.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be {n} integer labels, got {labels.dtype} "
+                             f"of shape {labels.shape}")
+        if (bad := np.flatnonzero((labels < 0) | (labels >= CIFAR_CLASSES))).size:
+            raise ValueError(f"{name} label {labels[bad[0]]} at record {bad[0]} is outside "
+                             f"[0, {CIFAR_CLASSES})")
+    pixels, shape = np.asarray(pixels), (n, CIFAR_CHANNELS, CIFAR_SIDE, CIFAR_SIDE)
+    if pixels.dtype != np.uint8 or pixels.shape != shape:
+        raise ValueError(f"pixels must be uint8 of shape {shape}, "
+                         f"got {pixels.dtype} of shape {pixels.shape}")
     records = np.empty((n, CIFAR_RECORD_BYTES), dtype=np.uint8)
     records[:, 0] = coarse
     records[:, 1] = fine
@@ -211,15 +228,23 @@ def load_cifar100_binary(train_path: str | Path, test_path: str | Path) -> tuple
 def save_dataset_binary(dataset: Dataset, path: str | Path) -> None:
     """Header: magic, version u32, samples u32, classes u32, side u32,
     channels u32 (all little-endian); then u16 labels; then uint8 pixels, which
-    are a byte-backed dataset's own bytes or round(255 * x) of float pixels."""
+    are a byte-backed dataset's own bytes or round(255 * x) of float pixels.
+    A class count past the u16 labels or a float pixel outside [0, 1] is a
+    ValueError, raised before writing."""
+    if dataset.n_classes > 2**16:
+        raise ValueError(f"n_classes {dataset.n_classes} does not fit the u16 labels "
+                         f"(at most {2**16} classes)")
+    pixels = dataset.images
+    if pixels.dtype != np.uint8:
+        if (bad := np.argwhere(~((pixels >= 0.0) & (pixels <= 1.0)))).size:  # NaN included
+            raise ValueError(f"float pixels must lie in the range [0, 1]; sample {bad[0][0]} "
+                             f"holds {pixels[tuple(bad[0])]}")
+        pixels = np.round(pixels * 255.0).astype(np.uint8)
     header = DATASET_MAGIC + struct.pack(
         "<IIIII", DATASET_VERSION, len(dataset), dataset.n_classes,
         dataset.side, dataset.channels,
     )
     labels = dataset.labels.astype("<u2").tobytes()
-    pixels = dataset.images
-    if pixels.dtype != np.uint8:
-        pixels = np.round(pixels * 255.0).astype(np.uint8)
     Path(path).write_bytes(header + labels + pixels.tobytes())
 
 

@@ -162,22 +162,22 @@ def _loss_cases() -> list[tuple[str, Callable[[], Tensor], dict[str, Tensor]]]:
         return LS.BatchView(probs, labels, class_to_task, 2, 1, old_probs)
 
     base = fresh_batch()
-    stats0 = LS.gradient_stats(base)
+    sharp0 = LS.gradient_stats(base)
     targets0 = LS.relation_groundtruth(base)
 
     def ce_fn():
         return LS.ce_loss(fresh_batch())
 
     def gfc_fn():
-        return LS.gfc_loss(fresh_batch(), stats0)
+        return LS.gfc_loss(fresh_batch(), sharp0)
 
     def grd_fn():
         batch = fresh_batch()
         protos, refs = LS.relation_prototypes(batch, targets0)
-        return LS.grd_loss(batch, stats0, protos, refs)
+        return LS.grd_loss(batch, sharp0, protos, refs)
 
     def objective_fn():
-        return LS.objective(fresh_batch(), stats0, 1.0, 1.0)
+        return LS.objective(fresh_batch(), sharp0, 1.0, 1.0)
 
     return [
         ("loss.ce", ce_fn, params),

@@ -87,14 +87,6 @@ class BatchView:
         return self.class_to_task[self.labels]
 
 
-@dataclass
-class GradientStats:
-    """Detached per-sample values: gamma = p_true - 1 and its sharpened statistic."""
-
-    per_sample: np.ndarray
-    sharp: np.ndarray
-
-
 def per_sample_gradient(batch: BatchView) -> np.ndarray:
     """True-class probability minus one, per sample; always in [-1, 0]."""
     return batch.probs.data[np.arange(batch.batch_size), batch.labels] - 1.0
@@ -110,9 +102,9 @@ def sharpened_stat(abs_gradient, k_old: int, k_new: int):
                            sharpen_exponent(k_old, k_new)) + 1.0)
 
 
-def gradient_stats(batch: BatchView) -> GradientStats:
-    gamma = per_sample_gradient(batch)
-    return GradientStats(gamma, sharpened_stat(np.abs(gamma), batch.k_old, batch.k_new))
+def gradient_stats(batch: BatchView) -> np.ndarray:
+    """The detached sharpened statistic of each sample's |p_true - 1|."""
+    return sharpened_stat(np.abs(per_sample_gradient(batch)), batch.k_old, batch.k_new)
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +128,23 @@ def _group_means(groups: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return members / members.sum(axis=1, keepdims=True)
 
 
-def _balanced_weights(batch: BatchView, stats: GradientStats, groups: np.ndarray,
+def _balanced_weights(batch: BatchView, sharp: np.ndarray, groups: np.ndarray,
                       stop_gradient: bool = True) -> Tensor:
     """One weight per distinct group, in ascending order: the group's sharpened
     mean over its task's sharpened mean, or 1 where that task mean is 0.
 
-    Detached weights are computed from the statistic in ``stats``;
-    differentiable ones from the live predictions.
+    Detached weights are computed from the statistic ``sharp``; differentiable
+    ones from the live predictions.
     """
-    if stop_gradient:
-        sharp = ad.constant(stats.sharp)
-    else:
-        sharp = _sharpened_tensor(batch)
+    statistic = ad.constant(sharp) if stop_gradient else _sharpened_tensor(batch)
     keys, first = np.unique(groups, return_index=True)
     tasks = batch.sample_tasks()
-    column = ad.reshape(sharp, (batch.batch_size, 1))
+    column = ad.reshape(statistic, (batch.batch_size, 1))
     group_mean = ad.matmul(ad.constant(_group_means(groups, keys)), column)
     task_mean = ad.matmul(ad.constant(_group_means(tasks, tasks[first])), column)
     # a perfectly predicted task (no nonzero statistic) keeps unit weight; decided
     # on the detached statistic because the live one clamps |g| and is never 0
-    zero = ~np.isin(tasks[first], tasks[stats.sharp != 0.0])[:, None]
+    zero = ~np.isin(tasks[first], tasks[sharp != 0.0])[:, None]
     unit = ad.constant(zero.astype(np.float64))
     keep = ad.constant((~zero).astype(np.float64))
     weights = ad.add(ad.mul(ad.div(group_mean, ad.add(task_mean, unit)), keep), unit)
@@ -175,11 +164,11 @@ def ce_loss(batch: BatchView) -> Tensor:
     return ad.mean(per_sample_ce(batch))
 
 
-def gfc_loss(batch: BatchView, stats: GradientStats, stop_gradient: bool = True) -> Tensor:
+def gfc_loss(batch: BatchView, sharp: np.ndarray, stop_gradient: bool = True) -> Tensor:
     """Cross-entropy with each sample scaled by its sharpened statistic over
     its task's sharpened mean; a task whose mean is zero keeps weight 1.
     """
-    weights = _balanced_weights(batch, stats, np.arange(batch.batch_size), stop_gradient)
+    weights = _balanced_weights(batch, sharp, np.arange(batch.batch_size), stop_gradient)
     return ad.mean(ad.mul(weights, per_sample_ce(batch)))
 
 
@@ -223,20 +212,20 @@ def kl_divergence(p: Tensor, q: np.ndarray, direction: str = "student_teacher") 
     raise ValueError(f"unknown KL direction {direction!r}")
 
 
-def grd_loss(batch: BatchView, stats: GradientStats, prototypes: Tensor,
+def grd_loss(batch: BatchView, sharp: np.ndarray, prototypes: Tensor,
              references: np.ndarray, cfg: LossConfig = LossConfig()) -> Tensor:
     """Class-prototype distillation, each class present weighted by its
     sharpened mean over its task's; absent classes contribute nothing but the
     normalizer still counts every seen class.
     """
-    weights = _balanced_weights(batch, stats, batch.labels, cfg.weight_stop_gradient)
+    weights = _balanced_weights(batch, sharp, batch.labels, cfg.weight_stop_gradient)
     divergences = kl_divergence(prototypes, references, cfg.kl_direction)
     return ad.scale(ad.sum_(ad.mul(weights, divergences)), 1.0 / batch.n_classes)
 
 
 def objective(
     batch: BatchView,
-    stats: GradientStats | None,
+    sharp: np.ndarray | None,
     alpha1: float,
     alpha2: float,
     cfg: LossConfig = LossConfig(),
@@ -245,18 +234,18 @@ def objective(
     """alpha1 * compensation loss + alpha2 * relation distillation loss.
 
     uniform_weights puts plain cross-entropy in place of the compensation
-    loss; with alpha2 = 0 that is the replay baseline. stats None measures
-    them on this batch, once, and only if a term needs them.
+    loss; with alpha2 = 0 that is the replay baseline. sharp None measures
+    the statistic on this batch, once, and only if a term needs it.
     """
-    if stats is None and not (uniform_weights and alpha2 == 0.0):
-        stats = gradient_stats(batch)
+    if sharp is None and not (uniform_weights and alpha2 == 0.0):
+        sharp = gradient_stats(batch)
     if uniform_weights:
         total = ad.scale(ce_loss(batch), alpha1)
     else:
-        total = ad.scale(gfc_loss(batch, stats, cfg.weight_stop_gradient), alpha1)
+        total = ad.scale(gfc_loss(batch, sharp, cfg.weight_stop_gradient), alpha1)
     if alpha2 != 0.0:
         targets = relation_groundtruth(batch, cfg.relation_target)
         prototypes, references = relation_prototypes(batch, targets)
-        total = ad.add(total, ad.scale(grd_loss(batch, stats, prototypes, references, cfg),
+        total = ad.add(total, ad.scale(grd_loss(batch, sharp, prototypes, references, cfg),
                                        alpha2))
     return total

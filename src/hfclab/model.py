@@ -13,8 +13,9 @@ inserted by reshapes and one concat, and each block makes one multi-head
 computation sample-local; that call reads q, k and v through head-major
 views and keeps no copy of them, and each residual is folded into the
 projection that feeds it. Parameter tensors are float64 and live on the
-autodiff graph; frozen snapshots hold detached copies only. ``predict`` runs
-under ``ad.no_grad()`` and records no graph.
+autodiff graph; frozen snapshots hold detached copies only. ``predict`` goes
+through ``metrics.predict_outputs``, the one inference routine, and records no
+graph.
 
 Every parameter's name, shape, init and the config fields that set its shape
 are declared once, in ``_parameter_specs`` (a block's in ``_block_specs``).
@@ -34,6 +35,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import autodiff as ad
+from . import metrics as MT
 from .autodiff import Tensor
 
 INIT_STD = 0.02
@@ -312,10 +314,8 @@ class IncrementalModel:
         return logits, e
 
     def predict(self, image: np.ndarray) -> np.ndarray:
-        """Softmax probabilities for one image; records no graph."""
-        with ad.no_grad():
-            logits, _ = self.forward_batch(image[np.newaxis])
-            return ad.softmax(logits, axis=1).data[0]
+        """Softmax probabilities for one image: ``metrics.predict_outputs`` on a stack of one."""
+        return MT.predict_outputs(self, image[np.newaxis])[0][0]
 
     # -- task lifecycle -------------------------------------------------------
 
@@ -372,8 +372,10 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
-    if payload.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+    version = payload.get("format_version")
+    _expect(version, int, "format_version")  # True == 1.0 == 1, so the type is checked first
+    if version != 1:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
     for key, kind in (("task_index", int), ("n_classes", int), ("config", dict), ("params", dict)):
         if key not in payload:
             raise ValueError(f"checkpoint is missing {key!r}")

@@ -371,6 +371,37 @@ def test_flip_augmentation_changes_training_but_stays_seeded(tmp_path):
     assert outs["plain"] != outs["flip_a"]  # flipping consumed rng and changed batches
 
 
+def test_unflipped_teacher_predicts_each_later_task_pool_once_in_bulk(monkeypatch):
+    """Without flips the frozen teacher's rows come from one predict_outputs call
+    per later task, over the whole pool, and never from the per-image predict."""
+    teacher_rows = []
+    predict_outputs = MT.predict_outputs
+
+    def recording_predict_outputs(model, images):
+        if model.frozen:
+            teacher_rows.append(len(images))
+        return predict_outputs(model, images)
+
+    def per_image(*args, **kwargs):
+        raise AssertionError("IncrementalModel.predict called in a run without flips")
+
+    monkeypatch.setattr(MT, "predict_outputs", recording_predict_outputs)
+    monkeypatch.setattr(IncrementalModel, "predict", per_image)
+    stream, train, test, model = tiny_run_setup(n_classes=6, tasks=3)
+    C.run_stream(stream, train, test, model, fast_config(), master_seed=3)
+    # pool = the task's 2 classes x 3 samples plus memory: 2 classes x min(8 // 2, 3),
+    # then 4 classes x 8 // 4
+    assert teacher_rows == [6 + 6, 6 + 8]
+
+
+def test_flip_run_leaves_the_training_images_unchanged():
+    """Batches are flipped in place in their own gathered copy, never in the dataset."""
+    stream, train, test, model = tiny_run_setup(n_classes=4, tasks=2)
+    before = train.images.tobytes()
+    C.run_stream(stream, train, test, model, fast_config(flip_augment=True), master_seed=13)
+    assert train.images.tobytes() == before
+
+
 @pytest.mark.parametrize("flip", [False, True])
 def test_no_training_graph_outlives_its_step(monkeypatch, flip):
     """Each training forward pass and each evaluation starts with no graph alive.

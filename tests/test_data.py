@@ -156,6 +156,48 @@ def test_record_count_follows_file_size(tmp_path):
     assert np.all(fine < 100)
 
 
+def bad_records(case):
+    """(coarse, fine, pixels) for three records, with the one argument `case` names spoiled."""
+    coarse, fine = np.zeros(3, np.uint8), np.arange(3, dtype=np.uint8)
+    pixels = (np.arange(3 * 3072) % 256).astype(np.uint8).reshape(3, 3, 32, 32)
+    spoiled = {
+        "coarse-300": (np.array([0, 300, 1]), fine, pixels),
+        "fine-150": (coarse, np.array([0, 1, 150]), pixels),
+        "fine-negative": (coarse, np.array([0, -1, 2]), pixels),
+        "float-labels": (coarse, np.array([0.0, 1.0, 2.0]), pixels),
+        "short-coarse": (coarse[:2], fine, pixels),
+        "float-pixels": (coarse, fine, np.full(pixels.shape, 0.7)),
+        "short-pixels": (coarse, fine, pixels[:2]),
+        "flat-pixels": (coarse, fine, pixels.reshape(3, 3072)),
+        "no-records": (coarse[:0], fine[:0], pixels[:0]),
+    }
+    return spoiled.get(case, (coarse, fine, pixels))
+
+
+# each case was written before, and then misread or refused by read_label_records
+@pytest.mark.parametrize("case, message", [
+    ("coarse-300", r"coarse label 300 at record 1 is outside \[0, 100\)"),
+    ("fine-150", r"fine label 150 at record 2"),
+    ("fine-negative", r"fine label -1 at record 1"),
+    ("float-labels", r"fine must be 3 integer labels, got float64"),
+    ("short-coarse", r"coarse must be 3 integer labels, got uint8 of shape \(2,\)"),
+    ("float-pixels", r"pixels must be uint8 of shape \(3, 3, 32, 32\), got float64"),
+    ("short-pixels", r"pixels must be .*, got uint8 of shape \(2, 3, 32, 32\)"),
+    ("flat-pixels", r"pixels must be .*, got uint8 of shape \(3, 3072\)"),
+    ("no-records", r"fine holds no records"),
+])
+def test_write_label_records_refuses_what_the_reader_would_not_read_back(tmp_path, case,
+                                                                         message):
+    path = tmp_path / "records.bin"
+    with pytest.raises(ValueError, match=message):
+        D.write_label_records(path, *bad_records(case))
+    assert not path.exists()
+    D.write_label_records(path, *bad_records(None))  # unspoiled, they round-trip
+    coarse, fine, pixels = D.read_label_records(path)
+    for read, written in zip((coarse, fine, pixels), bad_records(None)):
+        np.testing.assert_array_equal(read, written)
+
+
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(cifar_fixture_bytes(n=3)[:-1])
@@ -304,6 +346,26 @@ def test_dataset_binary_names_the_file_when_header_extents_are_zero(tmp_path, n,
     path.write_bytes(dataset_file_bytes(n, n_classes, side, channels))
     with pytest.raises(ValueError, match=rf"ds\.bin: {message}"):
         D.load_dataset_binary(path)
+
+
+def test_dataset_binary_refuses_more_classes_than_u16_labels_hold(tmp_path):
+    n = 2**16 + 1  # label 65,536 would be stored as 0
+    dataset = D.Dataset(np.zeros((n, 1, 1, 1), np.uint8), np.arange(n), n)
+    path = tmp_path / "ds.bin"
+    with pytest.raises(ValueError, match="n_classes 65537"):
+        D.save_dataset_binary(dataset, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [2.0, -0.1, float("nan"), float("inf")])
+def test_dataset_binary_refuses_float_pixels_outside_the_unit_range(tmp_path, value):
+    images = np.full((4, 1, 2, 2), 0.5)
+    images[2, 0, 1, 0] = value  # round(2.0 * 255) would be stored as 254
+    dataset = D.Dataset(images, [0, 1, 0, 1], 2)
+    path = tmp_path / "ds.bin"
+    with pytest.raises(ValueError, match=r"range \[0, 1\]; sample 2 holds"):
+        D.save_dataset_binary(dataset, path)
+    assert not path.exists()
 
 
 def test_dataset_binary_rejects_bad_magic(tmp_path):

@@ -128,8 +128,8 @@ def test_stats_two_sample_task_mean():
     batch = batch_from_probs(rows, [0, 1], [0, 0, 1, 1], 2, 2)
     stats = L.gradient_stats(batch)
     sharp = [math.log(math.sqrt(0.75) + 1), math.log(math.sqrt(0.25) + 1)]
-    np.testing.assert_allclose(stats.per_sample, [-0.75, -0.25], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(stats.sharp, sharp, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(L.per_sample_gradient(batch), [-0.75, -0.25], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stats, sharp, rtol=0, atol=1e-12)
     expected = [s / (sum(sharp) / 2) for s in sharp]
     np.testing.assert_allclose(sample_weights(batch, stats), expected, rtol=0, atol=1e-12)
 
@@ -138,8 +138,8 @@ def test_stats_single_sample_task():
     rows = probs_for_abs_gradients([0.4], [2], 4)
     batch = batch_from_probs(rows, [2], [0, 0, 1, 1], 2, 2)
     stats = L.gradient_stats(batch)
-    assert abs(stats.per_sample[0] + 0.4) < 1e-12
-    assert abs(stats.sharp[0] - L.sharpened_stat(0.4, 2, 2)) < 1e-15
+    assert abs(L.per_sample_gradient(batch)[0] + 0.4) < 1e-12
+    assert abs(stats[0] - L.sharpened_stat(0.4, 2, 2)) < 1e-15
     # one weight each for the one sample and the one class; absent tasks get none
     np.testing.assert_array_equal(sample_weights(batch, stats), [1.0])
     np.testing.assert_array_equal(class_weights(batch, stats), [1.0])
@@ -167,9 +167,9 @@ def test_stats_count_weighted_class_means_recover_task_means():
     stats = L.gradient_stats(batch)
     tasks = batch.sample_tasks()
     for task in np.unique(tasks):
-        task_value = stats.sharp[tasks == task].mean()
+        task_value = stats[tasks == task].mean()
         classes, counts = np.unique(batch.labels[tasks == task], return_counts=True)
-        class_means = [stats.sharp[batch.labels == c].mean() for c in classes]
+        class_means = [stats[batch.labels == c].mean() for c in classes]
         assert abs(np.dot(counts, class_means) / counts.sum() - task_value) < 1e-10
 
 

@@ -478,6 +478,10 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("n_classes",), "3", "'n_classes'", id="n_classes-string"),
     pytest.param(("task_index",), "1", "'task_index'", id="task_index-string"),
     pytest.param(("task_index",), True, "'task_index'", id="task_index-bool"),
+    # true and 1.0 compare equal to 1 in Python, so only a type check refuses them
+    pytest.param(("format_version",), True, "'format_version'", id="format_version-bool"),
+    pytest.param(("format_version",), 1.0, "'format_version'", id="format_version-float"),
+    pytest.param(("format_version",), "1", "'format_version'", id="format_version-string"),
     pytest.param(("params", "cls_token", "shape"), "x", "'cls_token'", id="shape-string"),
     # shapes numpy's reshape would accept: an inferred -1, a bool extent, a bare integer
     pytest.param(("params", "patch_bias", "shape"), [-1], "'patch_bias'", id="shape-negative"),
