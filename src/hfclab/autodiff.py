@@ -19,8 +19,9 @@ one op: q, k and v are full-width row stacks read through head-major
 (batch, heads, rows, head_dim) views, with a single backward closure that
 keeps only the probabilities. The one operand BLAS rounds by its stride, a
 right-hand matrix in row layout, is copied where it is used and not kept.
-``linear(x, w, b, skip)`` is x @ w + b + skip as one node, so a residual costs
-no node of its own; ``reshape`` returns a view.
+``matmul(x, w, b, skip)``, the one product op, is x @ w + b + skip as one
+node, so a bias or a residual costs no node of its own; ``reshape`` returns a
+view.
 
 ``finite_diff_check`` is the independent oracle used by the test suite and the
 ``gradcheck`` command: central differences per coordinate against the recorded
@@ -371,31 +372,19 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
 # structured ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    data = a.data @ b.data
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g @ b.data.T, owned=True)
-        b._accumulate(a.data.T @ g, owned=True)
-
-    return _result(data, (a, b), backward, "matmul")
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
+def matmul(x: Tensor, w: Tensor, b: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
     """x @ w + b + skip as one node: bias and skip are added in place to the product.
 
-    Either addend may be None. Bit-identical to add(skip, add(matmul(x, w), b))
-    in value, because IEEE addition commutes, and in every gradient; the
-    gradient of an input that requires none (a constant x) is skipped. A
-    residual `skip` thus costs no node and no kept product.
+    Either addend may be None. Bit-identical to the bare product x @ w followed
+    by add(skip, add(product, b)) in value, because IEEE addition commutes, and
+    in every gradient; the gradient of an input that requires none (a constant
+    x) is skipped. A residual `skip` thus costs no node and no kept product.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
             or (b is not None and b.data.shape != w.data.shape[1:])
             or (skip is not None and skip.data.shape != (x.data.shape[0], w.data.shape[1]))):
         shapes = ", ".join(str(t.shape) for t in (x, w, b, skip) if t is not None)
-        raise ShapeError(f"linear: shapes {shapes} do not chain")
+        raise ShapeError(f"matmul: shapes {shapes} do not chain")
     data = x.data @ w.data
     if b is not None:
         data += b.data
@@ -412,7 +401,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, skip: Tensor | None = 
             skip._accumulate(g, owned=True)
 
     parents = tuple(t for t in (x, w, b, skip) if t is not None)
-    return _result(data, parents, backward, "linear")
+    return _result(data, parents, backward, "matmul")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int = 1) -> Tensor:

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as LS
 from . import metrics as MT
-from .model import IncrementalModel
+from .model import IncrementalModel, atomic_open
 from .seeding import stream_rng
 
 if TYPE_CHECKING:
@@ -361,7 +361,7 @@ def _batch_loss(batch: LS.BatchView, task_index: int, config: TrainerConfig):
 
 
 def write_metrics_csv(path: Path, records: list[TaskRecord]) -> None:
-    with open(path, "w", newline="") as fh_out:
+    with atomic_open(path) as fh_out:
         writer = csv.writer(fh_out, lineterminator="\n")
         writer.writerow(["task_index", "seen_classes", "top1_acc",
                          "avg_incremental_acc", "fh", "epoch_losses"])
@@ -396,4 +396,5 @@ def write_summary_json(path: Path, records: list[TaskRecord], config: TrainerCon
         "fh": records[-1].fh,
         "wall_clock_seconds": wall_clock,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(path) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

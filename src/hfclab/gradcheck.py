@@ -42,7 +42,7 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
     # cases added later draw from their own generators, so the others keep their inputs
     own = np.random.default_rng
     tile_sel = ad.constant(own(106).normal(size=(6, 3)))
-    linear_sel = ad.constant(own(108).normal(size=(3, 3)))
+    affine_sel = ad.constant(own(108).normal(size=(3, 3)))
     return [
         ("op.add", lambda t: ad.sum_(ad.mul(ad.add(t, add_sel), t)),
          rng.normal(size=(3, 2))),
@@ -73,9 +73,9 @@ def _op_cases(rng: np.random.Generator) -> list[tuple[str, Callable, np.ndarray]
          own(107).normal(size=(2, 3))),
         ("op.matmul", lambda t: ad.sum_(ad.matmul(t, ad.mul(t, t))), rng.normal(size=(3, 3))),
         # t feeds the input, the weight, (through a column sum) the bias and the skip of an
-        # inner linear, and the input, weight and skip of a bias-free outer one
-        ("op.linear", lambda t: ad.sum_(ad.mul(
-            ad.linear(t, t, skip=ad.linear(t, t, ad.sum_(t, axis=0), skip=t)), linear_sel)),
+        # inner product, and the input, weight and skip of a bias-free outer one
+        ("op.matmul_addends", lambda t: ad.sum_(ad.mul(
+            ad.matmul(t, t, skip=ad.matmul(t, t, ad.sum_(t, axis=0), skip=t)), affine_sel)),
          own(109).normal(size=(3, 3))),
         ("op.sum", lambda t: ad.sum_(ad.exp(ad.sum_(t, axis=0))), rng.normal(size=(3, 2))),
         ("op.mean", lambda t: ad.mean(ad.mul(t, t)), rng.normal(size=(3, 4))),

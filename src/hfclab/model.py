@@ -11,26 +11,29 @@ forward pass records does not grow with batch size: the class token is
 inserted by reshapes and one concat, and each block makes one multi-head
 ``ad.attention(..., heads)`` call, which keeps the quadratic score
 computation sample-local; that call reads q, k and v through head-major
-views and keeps no copy of them, and each residual is folded into the
-projection that feeds it. Parameter tensors are float64 and live on the
-autodiff graph; frozen snapshots hold detached copies only. ``predict`` goes
-through ``metrics.predict_outputs``, the one inference routine, and records no
-graph.
+views and keeps no copy of them. Every projection is one ``ad.matmul`` node,
+with its bias and any residual folded in. Parameter tensors are float64 and
+live on the autodiff graph; frozen snapshots hold detached copies only.
+``predict`` goes through ``metrics.predict_outputs``, the one inference
+routine, and records no graph.
 
 Every parameter's name, shape, init and the config fields that set its shape
 are declared once, in ``_parameter_specs`` (a block's in ``_block_specs``).
 ``draw_parameters`` builds the model's tensors from that table, each block
 reads its own slice of them, and ``load_checkpoint`` checks a file against it.
+``save_checkpoint`` replaces its file only once the whole file is written.
 """
 from __future__ import annotations
 
 import copy
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import IO, Iterator, get_type_hints
 
 import numpy as np
 
@@ -156,8 +159,8 @@ def draw_parameters(specs, rng: np.random.Generator) -> dict[str, Tensor]:
 
 def _mlp(p: dict[str, Tensor], x: Tensor, skip: Tensor) -> Tensor:
     """A block's MLP of x, plus `skip` folded into its output projection."""
-    hidden = ad.gelu(ad.linear(x, p["mlp.w1"], p["mlp.b1"]))
-    return ad.linear(hidden, p["mlp.w2"], p["mlp.b2"], skip)
+    hidden = ad.gelu(ad.matmul(x, p["mlp.w1"], p["mlp.b1"]))
+    return ad.matmul(hidden, p["mlp.w2"], p["mlp.b2"], skip)
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
@@ -192,7 +195,7 @@ class SelfAttentionBlock:
         zn = ad.layer_norm(z, p["norm1_gain"], p["norm1_bias"])
         heads = _attend(ad.matmul(zn, p["w_q"]), ad.matmul(zn, p["w_k"]),
                         ad.matmul(zn, p["w_v"]), batch, self.cfg.heads)
-        attended = ad.linear(heads, p["w_o"], skip=z)
+        attended = ad.matmul(heads, p["w_o"], skip=z)
         normed = ad.layer_norm(attended, p["norm2_gain"], p["norm2_bias"])
         return _mlp(p, normed, skip=attended)
 
@@ -277,7 +280,7 @@ class IncrementalModel:
         if patches.dtype == np.uint8:
             patches = patches / 255.0
         p = self.params
-        z_e = ad.linear(ad.constant(patches), p["patch_proj"], p["patch_bias"])
+        z_e = ad.matmul(ad.constant(patches), p["patch_proj"], p["patch_bias"])
         # one row per sample: its n patch rows, then its class token
         d = self.cfg.embed_dim
         per_sample = ad.concat([ad.reshape(z_e, (b, n * d)), ad.tile_rows(p["cls_token"], b)],
@@ -350,12 +353,31 @@ class IncrementalModel:
         float lists and the text of the whole payload are never in memory at once."""
         head = json.dumps({"format_version": 1, "task_index": task_index,
                            "n_classes": self.n_classes, "config": asdict(self.cfg)})
-        with open(path, "w", encoding="utf-8") as out:
+        with atomic_open(path) as out:
             out.write(head[:-1] + ', "params": {')
             for i, (name, tensor) in enumerate(sorted(self.parameters().items())):
                 entry = {"shape": list(tensor.shape), "data": tensor.data.reshape(-1).tolist()}
                 out.write((", " if i else "") + f"{json.dumps(name)}: {json.dumps(entry)}")
             out.write("}}")
+
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+    """A UTF-8 text file that takes the place of `path` when the block ends.
+
+    It is written beside `path` under a temporary name, then renamed onto it, so
+    an exception removes it and leaves any earlier `path` byte-identical. Lines
+    end in the "\\n" the writer wrote, on every platform.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 _JSON_KINDS = {int: "an integer", str: "a string", dict: "an object"}
@@ -400,14 +422,22 @@ def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
                 isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
             raise ValueError(f"checkpoint params entry {name!r} has shape {shape!r}, "
                              "not a list of non-negative integers")
+        data = entry["data"]
+        # numpy would read true as 1.0 and a nested list whose size fits the shape
+        if not isinstance(data, list) or not all(type(v) in (int, float) for v in data):
+            raise ValueError(f"checkpoint params entry {name!r} has data that is not "
+                             "a flat list of numbers")
         try:
-            params[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
+            params[name] = np.array(data, dtype=np.float64).reshape(shape)
         except (TypeError, ValueError, OverflowError) as exc:  # an integer past the largest float
             raise ValueError(f"checkpoint params entry {name!r} is malformed: {exc}") from None
         if not np.isfinite(params[name]).all():
             raise ValueError(f"checkpoint params entry {name!r} holds a non-finite value")
     # every shape is compared before the skeleton is built, so a wild extent cannot size it
-    cfg, n_classes = ModelConfig(**payload["config"]), payload["n_classes"]
+    try:
+        cfg, n_classes = ModelConfig(**payload["config"]), payload["n_classes"]
+    except ValueError as exc:
+        raise ValueError(f"checkpoint config is invalid: {exc}") from None
     unused = set(params)
     for name, shape, _, fields in _parameter_specs(cfg, n_classes):
         if name not in params:

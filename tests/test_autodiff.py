@@ -200,12 +200,12 @@ OP_CASES = {
         (3, 3),
     ),
     "linear": (
-        lambda t: ad.sum_(ad.mul(ad.linear(t, t, ad.sum_(t, axis=0)),
+        lambda t: ad.sum_(ad.mul(ad.matmul(t, t, ad.sum_(t, axis=0)),
                                  ad.constant(np.arange(9.0).reshape(3, 3)))),
         (3, 3),
     ),
     "linear_skip": (
-        lambda t: ad.sum_(ad.mul(ad.linear(t, ad.exp(t), skip=ad.mul(t, t)),
+        lambda t: ad.sum_(ad.mul(ad.matmul(t, ad.exp(t), skip=ad.mul(t, t)),
                                  ad.constant(np.arange(9.0).reshape(3, 3)))),
         (3, 3),
     ),
@@ -436,6 +436,7 @@ def test_attention_on_column_slices_equals_attention_on_contiguous_inputs(heads,
         assert np.array_equal(got, want)
 
 
+# "linear" here and below: matmul with a bias or skip addend, an affine map as one node
 @pytest.mark.parametrize("x_needs_grad,addends", [
     pytest.param(x_needs_grad, addends,
                  id=f"{x_needs_grad}" + ("" if addends == "b" else f"-{addends}"))
@@ -461,7 +462,7 @@ def test_linear_is_bit_identical_to_matmul_plus_bias(x_needs_grad, addends):
         out = out if b is None else ad.add(out, b)
         return out if skip is None else ad.add(skip, out)
 
-    fused = run(ad.linear)
+    fused = run(ad.matmul)
     expected = run(reference)
     assert np.array_equal(fused[0], expected[0])
     for got, want in zip(fused[2][not x_needs_grad:], expected[2][not x_needs_grad:]):
@@ -473,13 +474,13 @@ def test_linear_is_bit_identical_to_matmul_plus_bias(x_needs_grad, addends):
 def test_linear_rejects_bad_shapes():
     x, w = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2)))
     with pytest.raises(ad.ShapeError):
-        ad.linear(x, Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
+        ad.matmul(x, Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
     with pytest.raises(ad.ShapeError):
-        ad.linear(x, w, Tensor(np.zeros(3)))
+        ad.matmul(x, w, Tensor(np.zeros(3)))
     with pytest.raises(ad.ShapeError):
-        ad.linear(x, w, skip=Tensor(np.zeros((4, 3))))
+        ad.matmul(x, w, skip=Tensor(np.zeros((4, 3))))
     with pytest.raises(ad.ShapeError):
-        ad.linear(Tensor(np.zeros(3)), w, skip=Tensor(np.zeros((4, 2))))
+        ad.matmul(Tensor(np.zeros(3)), w, skip=Tensor(np.zeros((4, 2))))
 
 
 def test_gelu_value_and_gradient_match_the_stored_square_formula():
@@ -556,7 +557,7 @@ PASS_THROUGH = {
     "concat": (lambda t: ad.concat([t, ad.constant(np.ones((1, 3)))], axis=0),
                lambda g: g[:2]),
     "transpose": (ad.transpose, lambda g: g.T),
-    "linear_skip": (lambda t: ad.linear(ad.constant(np.ones((2, 4))),
+    "linear_skip": (lambda t: ad.matmul(ad.constant(np.ones((2, 4))),
                                         ad.constant(np.ones((4, 3))), skip=t),
                     lambda g: g),
 }
@@ -600,7 +601,7 @@ def test_linear_input_used_elsewhere_gets_exact_gradients(reuse_first):
     x0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
     c1, c2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
     x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
-    through = ad.sum_(ad.mul(ad.linear(x, w, b), ad.constant(c1)))
+    through = ad.sum_(ad.mul(ad.matmul(x, w, b), ad.constant(c1)))
     reuse = ad.sum_(ad.mul(x, ad.constant(c2)))
     ad.backward(ad.add(reuse, through) if reuse_first else ad.add(through, reuse))
     assert np.array_equal(x.grad, c1 @ w0.T + c2)

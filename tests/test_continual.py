@@ -1,6 +1,8 @@
 """Tests for the task stream, exemplar memory, optimizer, and training loop."""
+import errno
 import gc
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hfclab import data as D
 from hfclab import losses as LS
 from hfclab import metrics as MT
 from hfclab.autodiff import Tensor
-from hfclab.model import IncrementalModel, ModelConfig
+from hfclab.model import IncrementalModel, ModelConfig, load_checkpoint
 
 TINY_MODEL = ModelConfig(image_side=8, channels=1, patch_side=4, embed_dim=8,
                          heads=2, msa_blocks=1, tsa_blocks=1)
@@ -438,3 +440,55 @@ def test_no_training_graph_outlives_its_step(monkeypatch, flip):
         gc.enable()
     assert len(live["train_forward"]) > 2 and len(live["evaluation"]) == 2
     assert live == {"train_forward": [0] * len(live["train_forward"]), "evaluation": [0, 0]}
+
+
+# ---------------------------------------------------------------------------
+# report files
+
+
+@pytest.mark.parametrize("name", ["task2.ckpt.json", "metrics.csv", "summary.json"])
+def test_a_report_write_cut_short_by_a_full_disk_leaves_the_earlier_file(tmp_path, name):
+    stream, train, test, model = tiny_run_setup(n_classes=4, tasks=2)
+    records = C.run_stream(stream, train, test, model, fast_config(), master_seed=9,
+                           out_dir=tmp_path)
+    write = {
+        "task2.ckpt.json": lambda: model.save_checkpoint(tmp_path / name, 2),
+        "metrics.csv": lambda: C.write_metrics_csv(tmp_path / name, records),
+        "summary.json": lambda: C.write_summary_json(tmp_path / name, records, fast_config(),
+                                                     9, 0.0),
+    }[name]
+    write()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    # a full disk: no file this process writes may grow past 64 bytes
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard))
+    try:
+        with pytest.raises(OSError):
+            write()
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    write()
+    assert (tmp_path / name).read_bytes() == before[name]
+
+
+def test_a_checkpoint_whose_serialisation_fails_leaves_the_earlier_checkpoint(
+        tmp_path, monkeypatch):
+    model = IncrementalModel(TINY_MODEL, 3, np.random.default_rng(0))
+    path = tmp_path / "task1.ckpt.json"
+    model.save_checkpoint(path, 1)
+    before, dumps, calls = path.read_bytes(), json.dumps, []
+
+    def fifth_call_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:  # the head and the first parameter are written by then
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", fifth_call_fails)
+    with pytest.raises(OSError, match="No space left"):
+        model.save_checkpoint(path, 2)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)[1] == 1

@@ -517,6 +517,21 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
                  "'classifier.bias'", id="bias-infinity"),
     pytest.param(("params", "classifier.bias", "data"), [0.0, 10**400, 0.0],
                  "'classifier.bias'", id="bias-integer-past-the-largest-float"),
+    # numpy reads true as 1.0, and a nested list of the right size reshapes cleanly
+    pytest.param(("params", "classifier.bias", "data"), [True, 0.0, 0.0],
+                 "'classifier.bias' has data that is not a flat list", id="bias-bool"),
+    pytest.param(("params", "classifier.bias", "data"), [[0.0], [0.0], [0.0]],
+                 "'classifier.bias' has data that is not a flat list", id="bias-nested"),
+    # values of the right type that ModelConfig refuses are named as checkpoint config
+    pytest.param(("config", "classifier_input"), "x",
+                 "checkpoint config is invalid: unknown classifier_input 'x'",
+                 id="classifier_input-unknown"),
+    pytest.param(("config", "heads"), 3,
+                 "checkpoint config is invalid: embed_dim 8 must be divisible by heads 3",
+                 id="heads-not-dividing"),
+    pytest.param(("config", "mlp_ratio"), -1,
+                 "checkpoint config is invalid: mlp_ratio must be at least 1, got -1",
+                 id="mlp_ratio-negative"),
 ])
 def test_checkpoint_wrongly_typed_field_is_named(tmp_path, path, value, named):
     file = tmp_path / "model.json"

@@ -1,8 +1,10 @@
 """The benchmark's outside-in tracer still finds every name it wraps."""
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
+from hfclab import autodiff as ad
 from hfclab import cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -42,3 +44,13 @@ def test_tracer_wraps_a_training_run_and_restores_everything(tmp_path):
     assert patches
     for owner, attr, original in patches:
         assert vars(owner)[attr] is original, f"{owner!r}.{attr} left wrapped"
+
+
+def test_every_recording_op_is_timed():
+    # the rule of test_autodiff's every-op-has-a-gradcheck-case test
+    recording = [name for name, fn in vars(ad).items()
+                 if inspect.isfunction(fn) and not name.startswith("_")
+                 and fn.__module__ == ad.__name__ and "_result(" in inspect.getsource(fn)]
+    assert "matmul" in recording and "attention" in recording
+    untimed = [name for name in recording if name not in load_tracer_module().OPS]
+    assert not untimed, f"autodiff ops the benchmark tracer does not time: {untimed}"
