@@ -9,7 +9,6 @@ import argparse
 import ctypes
 import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from . import continual as C
 from . import data as D
 from .config import ConfigError, RunConfig, _is_number, config_to_dict, parse_config
 from .gradcheck import run_all_checks
-from .model import IncrementalModel, format_bytes
+from .model import IncrementalModel, atomic_open, format_bytes, read_json
 from .seeding import stream_rng, stream_seed
 
 
@@ -57,9 +56,9 @@ def cmd_train(args) -> int:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 2
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: config {config_path} is not valid UTF-8 JSON: {exc}", file=sys.stderr)
+        raw = read_json(config_path)
+    except ValueError as exc:  # malformed, not UTF-8, or nested too deeply
+        print(f"error: config {config_path} is not readable UTF-8 JSON: {exc}", file=sys.stderr)
         return 2
     try:
         cfg = parse_config(raw)
@@ -115,7 +114,7 @@ def cmd_compare(args) -> int:
     for run_dir in args.runs:
         summary_path = Path(run_dir) / "summary.json"
         try:
-            summary = json.loads(summary_path.read_text(encoding="utf-8"))
+            summary = read_json(summary_path)
             acc, fh = summary["avg_incremental_acc"], summary["fh"]
             if not (_is_number(acc) and _is_number(fh)):
                 raise ValueError(f"avg_incremental_acc {acc!r} and fh {fh!r} "
@@ -126,7 +125,7 @@ def cmd_compare(args) -> int:
             return 1
     rows.sort(key=lambda r: -r[1])
     try:
-        with open(args.out, "w", newline="") as out:
+        with atomic_open(args.out) as out:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["variant", "avg_acc", "fh"])
             for name, acc, fh in rows:

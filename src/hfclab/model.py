@@ -8,12 +8,15 @@ extracted feature has a fixed width regardless of patch count.
 
 Batches are processed as one row-stacked matrix per layer, and the graph a
 forward pass records does not grow with batch size: the class token is
-inserted by reshapes and one concat, and each block makes one multi-head
-``ad.attention(..., heads)`` call, which keeps the quadratic score
-computation sample-local; that call reads q, k and v through head-major
-views and keeps no copy of them. Every projection is one ``ad.matmul`` node,
-with its bias and any residual folded in. Parameter tensors are float64 and
-live on the autodiff graph; frozen snapshots hold detached copies only.
+inserted by reshapes and one concat. Both kinds of block run one body,
+``_attention_body``: the aggregation block is the self-attention body with
+the task query in place of the patch rows as its queries and no residual.
+That body makes one multi-head ``ad.attention(..., heads)`` call, which
+keeps the quadratic score computation sample-local; that call reads q, k and
+v through head-major views and keeps no copy of them. Every projection is one
+``ad.matmul`` node, with its bias and any residual folded in. Parameter
+tensors are float64 and live on the autodiff graph; frozen snapshots hold
+detached copies only.
 ``predict`` goes through ``metrics.predict_outputs``, the one inference
 routine, and records no graph.
 
@@ -72,6 +75,10 @@ class ModelConfig:
             )
         if self.classifier_input not in ("feature", "feature_cls"):
             raise ValueError(f"unknown classifier_input {self.classifier_input!r}")
+        if self.tsa_blocks == 0 and self.classifier_input == "feature":
+            # the feature is then the tiled task_embedding: the head never sees the image
+            raise ValueError('tsa_blocks 0 needs classifier_input "feature_cls": with '
+                             '"feature" the classifier reads no image content')
 
     @property
     def n_patches(self) -> int:
@@ -157,31 +164,34 @@ def draw_parameters(specs, rng: np.random.Generator) -> dict[str, Tensor]:
     return params
 
 
-def _mlp(p: dict[str, Tensor], x: Tensor, skip: Tensor) -> Tensor:
-    """A block's MLP of x, plus `skip` folded into its output projection."""
-    hidden = ad.gelu(ad.matmul(x, p["mlp.w1"], p["mlp.b1"]))
-    return ad.matmul(hidden, p["mlp.w2"], p["mlp.b2"], skip)
+def _attention_body(p: dict[str, Tensor], proj: str, queries: Tensor, context: Tensor,
+                    batch: int, heads: int, skip: Tensor | None = None) -> Tensor:
+    """The body both blocks share: multi-head attention from `queries` onto
+    `context` over `batch` stacked samples, its output projection plus `skip`,
+    then norm2 and an MLP whose second map takes the projection as its ``skip``.
 
-
-def _attend(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
-    """Multi-head sample-local attention over `batch` stacked samples.
-
-    q, k and v are full-width projections; head h reads column block h. q is
-    scaled by 1/sqrt(head width). Returns the side-by-side head outputs.
+    The query/key/value projections ``p[proj + "_q"]`` and so on are full
+    width-by-width matrices; head h reads column block h inside one attention
+    call, through a head-major view of the projection, not a copy
+    (``ad.attention`` copies only v, for p·v, and drops that copy at once). q is
+    scaled by 1/sqrt(head width). Each residual is the ``skip`` of the product
+    that feeds it, so none keeps a product the backward pass never reads.
     """
-    return ad.attention(ad.scale(q, 1.0 / math.sqrt(q.shape[1] // heads)), k, v, batch, heads)
+    # no local holds q, k or v: a forward pass recording no graph frees them as
+    # soon as attention returns, not while the wider MLP runs
+    side_by_side = ad.attention(
+        ad.scale(ad.matmul(queries, p[f"{proj}_q"]), 1.0 / math.sqrt(queries.shape[1] // heads)),
+        ad.matmul(context, p[f"{proj}_k"]), ad.matmul(context, p[f"{proj}_v"]), batch, heads)
+    attended = ad.matmul(side_by_side, p[f"{proj}_o"], skip=skip)
+    hidden = ad.gelu(ad.matmul(ad.layer_norm(attended, p["norm2_gain"], p["norm2_bias"]),
+                               p["mlp.w1"], p["mlp.b1"]))
+    return ad.matmul(hidden, p["mlp.w2"], p["mlp.b2"], attended)
 
 
 @dataclass
 class SelfAttentionBlock:
-    """Pre-normed multi-head self-attention with a residual MLP tail.
-
-    The query/key/value projections are stored as full width-by-width
-    matrices; head h reads column block h inside one attention call, through
-    a head-major view of the projection, not a copy (``ad.attention`` copies
-    only v, for p·v, and drops that copy at once). Both residuals are the
-    ``skip`` of the projection that feeds them, the output projection and the
-    MLP's second map, so neither keeps a product the backward pass never reads.
+    """Pre-normed multi-head self-attention with a residual MLP tail: norm1, then
+    ``_attention_body`` with the input as its own queries and as the residual.
     ``p`` holds the block's tensors under the names, shapes and inits that
     ``_block_specs(cfg, "msa")`` declares.
     """
@@ -191,24 +201,16 @@ class SelfAttentionBlock:
 
     def forward_rows(self, z: Tensor, batch: int) -> Tensor:
         """z holds `batch` samples stacked as consecutive row blocks."""
-        p = self.p
-        zn = ad.layer_norm(z, p["norm1_gain"], p["norm1_bias"])
-        heads = _attend(ad.matmul(zn, p["w_q"]), ad.matmul(zn, p["w_k"]),
-                        ad.matmul(zn, p["w_v"]), batch, self.cfg.heads)
-        attended = ad.matmul(heads, p["w_o"], skip=z)
-        normed = ad.layer_norm(attended, p["norm2_gain"], p["norm2_bias"])
-        return _mlp(p, normed, skip=attended)
+        zn = ad.layer_norm(z, self.p["norm1_gain"], self.p["norm1_bias"])
+        return _attention_body(self.p, "w", zn, zn, batch, self.cfg.heads, skip=z)
 
 
 @dataclass
 class AggregationBlock:
-    """Cross-attention from one query embedding onto the patch sequence.
-
-    Output is the projected head concat plus an MLP term; deliberately no
-    residual from the incoming query embedding. q, k and v are read as views,
-    as in the self-attention block, and the projected concat is the ``skip``
-    of the MLP's second map. ``p`` holds the block's tensors under the names,
-    shapes and inits that ``_block_specs(cfg, "tsa")`` declares.
+    """Cross-attention from one query embedding onto the patch sequence:
+    ``_attention_body`` with the normed task query attending to the normed patch
+    rows. ``p`` holds the block's tensors under the names, shapes and inits that
+    ``_block_specs(cfg, "tsa")`` declares.
     """
 
     cfg: ModelConfig
@@ -217,13 +219,11 @@ class AggregationBlock:
     def forward_rows(self, e: Tensor, z: Tensor, batch: int) -> Tensor:
         """e holds one query row per sample; z the stacked patch rows."""
         p = self.p
-        en = ad.layer_norm(e, p["normq_gain"], p["normq_bias"])
-        zn = ad.layer_norm(z, p["normz_gain"], p["normz_bias"])
-        heads = _attend(ad.matmul(en, p["v_q"]), ad.matmul(zn, p["v_k"]),
-                        ad.matmul(zn, p["v_v"]), batch, self.cfg.heads)
-        aggregated = ad.matmul(heads, p["v_o"])
-        normed = ad.layer_norm(aggregated, p["norm2_gain"], p["norm2_bias"])
-        return _mlp(p, normed, skip=aggregated)
+        # output is the projected head concat plus an MLP term; deliberately no
+        # residual from the incoming query embedding
+        return _attention_body(p, "v", ad.layer_norm(e, p["normq_gain"], p["normq_bias"]),
+                               ad.layer_norm(z, p["normz_gain"], p["normz_bias"]),
+                               batch, self.cfg.heads)
 
 
 def image_to_patches(images: np.ndarray, patch_side: int) -> np.ndarray:
@@ -380,6 +380,16 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
+def read_json(path: str | Path):
+    """The JSON value in UTF-8 file `path`. Malformed JSON or text raises json's
+    or the codec's ValueError; nesting deeper than the parser can recurse, which
+    would raise RecursionError, is a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON arrays or objects too deeply to read") from None
+
+
 _JSON_KINDS = {int: "an integer", str: "a string", dict: "an object"}
 
 
@@ -391,7 +401,7 @@ def _expect(value, kind: type, field: str) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple["IncrementalModel", int]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")

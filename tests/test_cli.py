@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,19 @@ def test_train_invalid_json_exits_2(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def write_deeply_nested_json(path):
+    """Valid JSON nested deeper than json.loads can recurse."""
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    return path
+
+
+def test_train_deeply_nested_config_exits_2_naming_the_file(tmp_path, capsys):
+    path = write_deeply_nested_json(tmp_path / "config.json")
+    code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config {path} is not readable UTF-8 JSON" in capsys.readouterr().err
+
+
 def test_train_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(b"\xff\xfe" + json.dumps(minimal_config()).encode("utf-16-le"))
@@ -235,6 +249,8 @@ def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     ("dataset", "class_noise", [float("nan"), 0.05, 0.05, 0.05], "$.dataset.class_noise:"),
     ("dataset", "class_noise", [0.05, float("inf"), 0.05, 0.05], "$.dataset.class_noise:"),
     ("model", "classifier_input", "pixels", "$.model:"),
+    # with no TSA block the "feature" is the tiled task_embedding: no image reaches the head
+    ("model", "tsa_blocks", 0, '$.model: tsa_blocks 0 needs classifier_input "feature_cls"'),
     ("losses", "kl_direction", "sideways", "$.losses:"),
 ])
 def test_train_out_of_range_field_exits_2_with_path(tmp_path, capsys, block, key, value,
@@ -700,6 +716,33 @@ def test_compare_malformed_summary_exits_1(tmp_path, capsys, summary):
     (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
     assert cli.main(["compare", "--runs", str(run), "--out", str(tmp_path / "cmp.csv")]) == 1
     assert f"cannot read run {run}" in capsys.readouterr().err
+
+
+def test_compare_deeply_nested_summary_exits_1(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    write_deeply_nested_json(run / "summary.json")
+    assert cli.main(["compare", "--runs", str(run), "--out", str(tmp_path / "cmp.csv")]) == 1
+    assert f"cannot read run {run}" in capsys.readouterr().err
+
+
+def test_compare_out_cut_short_by_a_full_disk_leaves_the_earlier_file(tmp_path, capsys):
+    runs = [str(fake_run(tmp_path, name, acc, 0.01))
+            for name, acc in (("first", 0.75), ("second", 0.5))]
+    out_csv = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "--runs", *runs, "--out", str(out_csv)]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    # a full disk: no file this process writes may grow past 16 bytes
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16, hard))
+    try:
+        code = cli.main(["compare", "--runs", *runs, "--out", str(out_csv)])
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert code == 2
+    assert f"cannot write comparison to {out_csv}" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()
+            if path.is_file()} == before
 
 
 def test_compare_out_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Tests for the incremental network: embeddings, attention blocks, classifier growth."""
+import collections
 import dataclasses
 import hashlib
 import json
@@ -159,6 +160,24 @@ def test_msa_block_gradient_wrt_input():
     assert err < 1e-5
 
 
+@pytest.mark.parametrize("block_class, census", [
+    (SelfAttentionBlock, {"matmul": 6, "layer_norm": 2, "scale": 1, "attention": 1, "gelu": 1}),
+    (AggregationBlock, {"matmul": 6, "layer_norm": 3, "scale": 1, "attention": 1, "gelu": 1}),
+], ids=["msa", "tsa"])
+def test_one_block_forward_records_exactly_its_op_nodes(block_class, census):
+    # q/k/v/output projections and both MLP maps are one matmul each; the norms
+    # before them, the q scale, one attention and one gelu are the rest
+    block = make_block(block_class, 19)
+    rng = np.random.default_rng(20)
+    z = ad.constant(rng.normal(size=(10, 8)))
+    if block_class is SelfAttentionBlock:
+        out = block.forward_rows(z, 2)
+    else:
+        out = block.forward_rows(ad.constant(rng.normal(size=(2, 8))), z, 2)
+    recorded = collections.Counter(node.op for node in ad._topo_order(out) if node._parents)
+    assert recorded == census
+
+
 # ---------------------------------------------------------------------------
 # aggregation block
 
@@ -229,6 +248,17 @@ def test_feature_cls_head_width():
     assert model.params["classifier.weight"].shape == (2, 16)
     logits, _ = model.forward_batch(rand_image(cfg)[np.newaxis])
     assert logits.shape == (1, 2)
+
+
+def test_no_tsa_block_needs_the_class_token_in_the_head():
+    # without an aggregation block the "feature" is the tiled task_embedding, so a
+    # "feature" head would give every image the same logits
+    with pytest.raises(ValueError, match='tsa_blocks 0 needs classifier_input "feature_cls"'):
+        dataclasses.replace(MICRO, tsa_blocks=0)
+    cfg = dataclasses.replace(MICRO, tsa_blocks=0, classifier_input="feature_cls")
+    model = IncrementalModel(cfg, 2, np.random.default_rng(0))
+    logits, _ = model.forward_batch(np.random.default_rng(1).uniform(size=(2, 1, 8, 8)))
+    assert not np.array_equal(logits.data[0], logits.data[1])
 
 
 def test_feature_cls_batch_rows_match_single_image_forward():
@@ -509,7 +539,12 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("config", "image_side"), 2**40, "'config.image_side'", id="image_side-huge"),
     pytest.param(("config", "mlp_ratio"), 2**40, "'config.mlp_ratio'", id="mlp_ratio-huge"),
     pytest.param(("config", "msa_blocks"), 2**40, "'msa1.norm1_gain'", id="msa_blocks-huge"),
-    pytest.param(("config", "tsa_blocks"), 0, "'tsa0.mlp.b1'", id="tsa_blocks-fewer"),
+    pytest.param(("config", "msa_blocks"), 0, "'msa0.mlp.b1'", id="msa_blocks-fewer"),
+    # MICRO's classifier reads the "feature": with no TSA block that is the tiled
+    # task_embedding, the same for every image, so the config itself is refused
+    pytest.param(("config", "tsa_blocks"), 0,
+                 'checkpoint config is invalid: tsa_blocks 0 needs classifier_input '
+                 '"feature_cls"', id="tsa_blocks-fewer"),
     # classifier.bias has shape (3,); json.loads reads NaN and Infinity tokens
     pytest.param(("params", "classifier.bias", "data"), [None, float("nan"), 0.0],
                  "'classifier.bias'", id="bias-null-nan"),
@@ -576,6 +611,14 @@ def test_checkpoint_that_is_not_an_object_is_rejected(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="JSON object"):
+        load_checkpoint(path)
+
+
+def test_deeply_nested_checkpoint_is_a_value_error_naming_the_file(tmp_path):
+    # valid JSON, but deeper than json.loads can recurse
+    path = tmp_path / "model.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ValueError, match=f"{path} nests JSON arrays or objects too deeply"):
         load_checkpoint(path)
 
 
