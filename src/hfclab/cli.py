@@ -20,34 +20,30 @@ from .model import IncrementalModel, atomic_open, format_bytes, read_json
 from .seeding import stream_rng, stream_seed
 
 
-def _generate(spec: D.SyntheticSpec, per_class_key: str) -> D.Dataset:
+def _generate(block: D.SyntheticBlock, split: str) -> D.Dataset:
     """generate_synthetic, with a pixel array too large to allocate reported as
     the config's fault, naming the extents that multiply up to it."""
-    size = spec.n_classes * spec.samples_per_class * spec.channels * spec.side ** 2 * 8
+    key = "samples_per_class" if split == "train" else "test_samples_per_class"
+    per_class = getattr(block, key)
+    size = block.classes * per_class * block.channels * block.side ** 2 * 8
     if size <= sys.maxsize:  # numpy cannot describe a larger array
         try:
-            return D.generate_synthetic(spec)
+            return D.generate_synthetic(block, split)
         except MemoryError:
             pass
     raise ValueError(
-        f"$.dataset.classes {spec.n_classes} x $.dataset.{per_class_key} "
-        f"{spec.samples_per_class} x $.dataset.channels {spec.channels} x "
-        f"$.dataset.side {spec.side}^2 float64 pixels need {format_bytes(size)}, "
-        "more than can be allocated")
+        f"$.dataset.classes {block.classes} x $.dataset.{key} {per_class} x "
+        f"$.dataset.channels {block.channels} x $.dataset.side {block.side}^2 "
+        f"float64 pixels need {format_bytes(size)}, more than can be allocated")
 
 
 def build_datasets(cfg: RunConfig, master_seed: int) -> tuple[D.Dataset, D.Dataset]:
-    if cfg.dataset_type == "synthetic":
-        s = cfg.synthetic
-        seed = s.seed if s.seed is not None else stream_seed(master_seed, "dataset")
-        spec = D.SyntheticSpec(n_classes=s.classes, samples_per_class=s.samples_per_class,
-                               side=s.side, channels=s.channels,
-                               class_noise=s.class_noise or (), seed=seed)
-        test_spec = dataclasses.replace(spec, samples_per_class=s.test_samples_per_class,
-                                        split="test")
-        return (_generate(spec, "samples_per_class"),
-                _generate(test_spec, "test_samples_per_class"))
-    return D.load_cifar100_binary(cfg.cifar.train_path, cfg.cifar.test_path)
+    block = cfg.dataset
+    if isinstance(block, D.CifarBlock):
+        return D.load_cifar100_binary(block.train_path, block.test_path)
+    if block.seed is None:
+        block = dataclasses.replace(block, seed=stream_seed(master_seed, "dataset"))
+    return _generate(block, "train"), _generate(block, "test")
 
 
 def cmd_train(args) -> int:
@@ -66,8 +62,12 @@ def cmd_train(args) -> int:
         order_seed = (cfg.stream.class_order_seed
                       if cfg.stream.class_order_seed is not None
                       else stream_seed(args.seed, "class-order-root"))
-        stream = D.split_tasks(train_set.n_classes, cfg.stream.tasks,
-                               cfg.stream.base_fraction, order_seed)
+        try:
+            stream = D.split_tasks(train_set.n_classes, cfg.stream.tasks,
+                                   cfg.stream.base_fraction, order_seed)
+        except ValueError as exc:  # the classes do not split into the tasks asked for
+            odd = cfg.stream.base_fraction == 0.5 and train_set.n_classes % 2
+            raise ConfigError("$.dataset.classes" if odd else "$.stream.tasks", str(exc)) from None
         model = IncrementalModel(cfg.model, stream.task_sizes[0],
                                  stream_rng(args.seed, "init"))
     except (ConfigError, ValueError, OSError) as exc:

@@ -12,7 +12,7 @@ from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .continual import TrainerConfig
-from .data import CIFAR_CHANNELS, CIFAR_SIDE
+from .data import CIFAR_CHANNELS, CIFAR_SIDE, CifarBlock, SyntheticBlock
 from .losses import LossConfig
 from .model import ModelConfig
 
@@ -26,24 +26,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SyntheticBlock:
-    classes: int
-    samples_per_class: int
-    test_samples_per_class: int = 10
-    side: int = 16
-    channels: int = 1
-    class_noise: tuple[float, ...] | None = None
-    seed: int | None = None  # None: derive from the master seed
-
-
-@dataclass(frozen=True)
-class CifarBlock:
-    train_path: str
-    test_path: str
-    horizontal_flip: bool = False
-
-
-@dataclass(frozen=True)
 class StreamBlock:
     tasks: int
     base_fraction: float = 0.0
@@ -52,9 +34,7 @@ class StreamBlock:
 
 @dataclass(frozen=True)
 class RunConfig:
-    dataset_type: str
-    synthetic: SyntheticBlock | None
-    cifar: CifarBlock | None
+    dataset: SyntheticBlock | CifarBlock
     stream: StreamBlock
     model: ModelConfig
     trainer: TrainerConfig
@@ -148,31 +128,28 @@ def parse_config(raw: Any) -> RunConfig:
     trainer = _fields(blocks["trainer"], "$.trainer", TrainerConfig, _DERIVED["trainer"])
     losses = _build(LossConfig, "$.losses", _fields(blocks["losses"], "$.losses", LossConfig))
 
-    synthetic = data if dtype == "synthetic" else None
-    cifar = data if dtype == "cifar100" else None
-    if synthetic is not None:
-        if synthetic.side % model["patch_side"] != 0:
+    if isinstance(data, SyntheticBlock):
+        if data.side % model["patch_side"] != 0:
             raise ConfigError("$.dataset.side",
                               f"must be divisible by model patch_side {model['patch_side']}")
-        if synthetic.class_noise is not None:
-            if len(synthetic.class_noise) != synthetic.classes:
-                raise ConfigError("$.dataset.class_noise", f"need {synthetic.classes} entries")
-            if min(synthetic.class_noise) < 0:
+        if data.class_noise is not None:
+            if len(data.class_noise) != data.classes:
+                raise ConfigError("$.dataset.class_noise", f"need {data.classes} entries")
+            if min(data.class_noise) < 0:
                 raise ConfigError("$.dataset.class_noise", "noise levels must be nonnegative")
     if stream.base_fraction not in (0.0, 0.5):
         raise ConfigError("$.stream.base_fraction", "must be 0.0 or 0.5")
     if trainer["memory_mode"] not in ("fixed_total", "per_class"):
         raise ConfigError("$.trainer.memory_mode", "must be fixed_total or per_class")
 
-    side, channels = ((synthetic.side, synthetic.channels) if synthetic is not None
-                      else (CIFAR_SIDE, CIFAR_CHANNELS))
+    cifar = isinstance(data, CifarBlock)
+    side, channels = (CIFAR_SIDE, CIFAR_CHANNELS) if cifar else (data.side, data.channels)
     return RunConfig(
-        dataset_type=dtype, synthetic=synthetic, cifar=cifar, stream=stream,
+        dataset=data, stream=stream,
         model=_build(ModelConfig, "$.model",
                      dict(model, image_side=side, channels=channels)),
         trainer=_build(TrainerConfig, "$.trainer",
-                       dict(trainer, flip_augment=cifar is not None and cifar.horizontal_flip,
-                            loss=losses)),
+                       dict(trainer, flip_augment=cifar and data.horizontal_flip, loss=losses)),
     )
 
 
@@ -180,7 +157,9 @@ def config_to_dict(cfg: RunConfig) -> dict:
     """Echo that re-parses to an equivalent RunConfig."""
     out = {
         "schema_version": SCHEMA_VERSION,
-        "dataset": {"type": cfg.dataset_type, **asdict(cfg.synthetic or cfg.cifar)},
+        "dataset": {"type": next(name for name, block in _DATASETS.items()
+                                 if isinstance(cfg.dataset, block)),
+                    **asdict(cfg.dataset)},
         "stream": asdict(cfg.stream),
         "losses": asdict(cfg.trainer.loss),
     }

@@ -209,6 +209,9 @@ class TrainerConfig:
     def __post_init__(self):
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("loss coefficients must be nonnegative")
+        if self.alpha1 == 0 and self.alpha2 == 0:
+            raise ValueError("alpha1 and alpha2 are both 0: every task after the first "
+                             "would train on a loss that is always 0")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:

@@ -71,35 +71,36 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    """Per-class templates are fixed by (seed, class); the split name only
-    decorrelates the noise draws, so train and test share class identity."""
+class SyntheticBlock:
+    """The config's synthetic dataset. Per-class templates are fixed by (seed, class);
+    the split only decorrelates the noise draws, so train and test share class identity."""
 
-    n_classes: int
+    classes: int
     samples_per_class: int
+    test_samples_per_class: int = 10
     side: int = 16
     channels: int = 1
-    class_noise: tuple[float, ...] = ()
-    seed: int = 0
-    split: str = "train"
-
-    def __post_init__(self):
-        noise = tuple(self.class_noise) if self.class_noise else (0.05,) * self.n_classes
-        object.__setattr__(self, "class_noise", noise)
-        if len(self.class_noise) != self.n_classes:
-            raise ValueError("need one noise level per class")
-        if any(s < 0 for s in self.class_noise):
-            raise ValueError("noise levels must be nonnegative")
+    class_noise: tuple[float, ...] | None = None  # None: 0.05 per class
+    seed: int | None = None  # None: derived from the master seed before generating
 
 
-def class_template(spec: SyntheticSpec, cls: int) -> np.ndarray:
+@dataclass(frozen=True)
+class CifarBlock:
+    """The config's CIFAR-100 dataset: two files in the binary record layout."""
+
+    train_path: str
+    test_path: str
+    horizontal_flip: bool = False
+
+
+def class_template(block: SyntheticBlock, cls: int) -> np.ndarray:
     """Deterministic low-frequency pattern for one class, in [0.1, 0.9]."""
-    rng = stream_rng(spec.seed, f"template/{cls}")
-    coords = np.arange(spec.side) / spec.side
+    rng = stream_rng(block.seed, f"template/{cls}")
+    coords = np.arange(block.side) / block.side
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
-    img = np.zeros((spec.channels, spec.side, spec.side))
-    for ch in range(spec.channels):
-        acc = np.zeros((spec.side, spec.side))
+    img = np.zeros((block.channels, block.side, block.side))
+    for ch in range(block.channels):
+        acc = np.zeros((block.side, block.side))
         for _ in range(3):
             fx, fy = rng.integers(1, 4, size=2)
             phase = rng.uniform(0, 2 * np.pi)
@@ -129,31 +130,36 @@ def _shift_bilinear(template: np.ndarray, dy: np.ndarray, dx: np.ndarray) -> np.
     return shifted.transpose(1, 0, 2, 3)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> Dataset:
+def generate_synthetic(block: SyntheticBlock, split: str = "train") -> Dataset:
     """Each sample is its class template, jittered and noised by the class level.
 
-    A noisy class draws one standard-normal block from its own stream, one row
-    per sample: two subpixel offsets (scaled by level * side / 4) and then the
-    pixel noise (scaled by level) in (channel, row, column) order. A
-    zero-noise class draws nothing and repeats its template.
+    The split picks samples_per_class or test_samples_per_class. Each class
+    draws one standard-normal block from its own stream, one row per sample:
+    two subpixel offsets (scaled by level * side / 4) and then the pixel noise
+    (scaled by level) in (channel, row, column) order. At level 0 both scale
+    to zero and the samples are the template.
     """
-    k = spec.samples_per_class
-    images = np.empty((spec.n_classes * k, spec.channels, spec.side, spec.side))
-    for cls in range(spec.n_classes):
-        template = class_template(spec, cls)
-        sigma = spec.class_noise[cls]
-        rows = slice(cls * k, (cls + 1) * k)
-        if sigma == 0:
-            images[rows] = template
-            continue
-        z = stream_rng(spec.seed, f"samples/{spec.split}/{cls}").standard_normal(
+    if block.seed is None:
+        raise ValueError("the dataset seed must be set")
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+    noise = block.class_noise if block.class_noise is not None else (0.05,) * block.classes
+    if len(noise) != block.classes:
+        raise ValueError("need one noise level per class")
+    if any(s < 0 for s in noise):
+        raise ValueError("noise levels must be nonnegative")
+    k = block.samples_per_class if split == "train" else block.test_samples_per_class
+    images = np.empty((block.classes * k, block.channels, block.side, block.side))
+    for cls, sigma in enumerate(noise):
+        template = class_template(block, cls)
+        z = stream_rng(block.seed, f"samples/{split}/{cls}").standard_normal(
             (k, 2 + template.size))
-        offsets = sigma * spec.side / 4.0 * z[:, :2]
+        offsets = sigma * block.side / 4.0 * z[:, :2]
         samples = _shift_bilinear(template, offsets[:, 0], offsets[:, 1])
         samples += sigma * z[:, 2:].reshape(samples.shape)
-        np.clip(samples, 0.0, 1.0, out=images[rows])
-    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), k)
-    return Dataset(images, labels, spec.n_classes)
+        np.clip(samples, 0.0, 1.0, out=images[cls * k:(cls + 1) * k])
+    labels = np.repeat(np.arange(block.classes, dtype=np.int64), k)
+    return Dataset(images, labels, block.classes)
 
 
 # ---------------------------------------------------------------------------

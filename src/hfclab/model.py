@@ -75,6 +75,11 @@ class ModelConfig:
             )
         if self.classifier_input not in ("feature", "feature_cls"):
             raise ValueError(f"unknown classifier_input {self.classifier_input!r}")
+        if self.msa_blocks == 0 and self.tsa_blocks == 0:
+            # the class-token row is then cls_token + pos_token and the feature is the
+            # tiled task_embedding, whatever classifier_input picks
+            raise ValueError("msa_blocks and tsa_blocks are both 0: no attention block "
+                             "reads the patches, so the classifier sees no pixel")
         if self.tsa_blocks == 0 and self.classifier_input == "feature":
             # the feature is then the tiled task_embedding: the head never sees the image
             raise ValueError('tsa_blocks 0 needs classifier_input "feature_cls": with '

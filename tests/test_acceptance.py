@@ -172,11 +172,9 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(C.ExemplarMemory, "update", spying_update)
 
-    spec = D.SyntheticSpec(n_classes=6, samples_per_class=30, side=8,
-                           class_noise=(0.05,) * 6, seed=3)
-    test_spec = D.SyntheticSpec(n_classes=6, samples_per_class=4, side=8,
-                                class_noise=(0.05,) * 6, seed=3, split="test")
-    train, test = D.generate_synthetic(spec), D.generate_synthetic(test_spec)
+    block = D.SyntheticBlock(classes=6, samples_per_class=30, test_samples_per_class=4,
+                             side=8, class_noise=(0.05,) * 6, seed=3)
+    train, test = D.generate_synthetic(block), D.generate_synthetic(block, "test")
     stream = D.split_tasks(6, 3, 0.0, seed=11)
 
     # label spaces are pairwise disjoint and cover every class once
@@ -236,11 +234,9 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
 def _experiment_run(seed: int, uniform_weights: bool) -> C.TaskRecord:
     cli.run_blas_on_one_thread()  # as `hfclab train` runs, whichever test ran first
     noise = tuple(np.linspace(0.02, 0.3, 10))
-    ds_seed = stream_seed(seed, "dataset")
-    train = D.generate_synthetic(D.SyntheticSpec(10, 60, side=16, class_noise=noise,
-                                                 seed=ds_seed, split="train"))
-    test = D.generate_synthetic(D.SyntheticSpec(10, 20, side=16, class_noise=noise,
-                                                seed=ds_seed, split="test"))
+    block = D.SyntheticBlock(10, 60, 20, side=16, class_noise=noise,
+                             seed=stream_seed(seed, "dataset"))
+    train, test = D.generate_synthetic(block, "train"), D.generate_synthetic(block, "test")
     stream = D.split_tasks(10, 5, 0.0, stream_seed(seed, "class-order-root"))
     model = IncrementalModel(DEFAULT_MODEL, stream.task_sizes[0], stream_rng(seed, "init"))
     cfg = C.TrainerConfig(memory_capacity=100,

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from hfclab import cli
 from hfclab import gradcheck as GC
-from hfclab.config import (
-    CifarBlock, ConfigError, StreamBlock, SyntheticBlock, config_to_dict, parse_config,
-)
+from hfclab.config import ConfigError, StreamBlock, config_to_dict, parse_config
 from hfclab.continual import TrainerConfig
+from hfclab.data import CifarBlock, SyntheticBlock
 from hfclab.losses import LossConfig
 from hfclab.model import ModelConfig
 
@@ -53,7 +52,7 @@ def minimal_config(**overrides):
 
 def test_parse_minimal_config():
     cfg = parse_config(minimal_config())
-    assert cfg.dataset_type == "synthetic"
+    assert isinstance(cfg.dataset, SyntheticBlock)
     assert cfg.stream.tasks == 2
     assert cfg.trainer.epochs_per_task == 1
     assert cfg.trainer.loss.relation_target == "renormalized"
@@ -112,7 +111,7 @@ def test_cifar_block_parses():
                     "test_path": "/x/test.bin", "horizontal_flip": True},
         "stream": {"tasks": 5},
     })
-    assert cfg.cifar.horizontal_flip
+    assert cfg.dataset.horizontal_flip
     assert parse_config(config_to_dict(cfg)) == cfg
 
 
@@ -252,14 +251,39 @@ def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     # with no TSA block the "feature" is the tiled task_embedding: no image reaches the head
     ("model", "tsa_blocks", 0, '$.model: tsa_blocks 0 needs classifier_input "feature_cls"'),
     ("losses", "kl_direction", "sideways", "$.losses:"),
+    # with no attention block neither classifier input reads a pixel
+    ("model", ("msa_blocks", "tsa_blocks", "classifier_input"), (0, 0, "feature_cls"),
+     "$.model: msa_blocks and tsa_blocks are both 0"),
+    # the first task ignores both coefficients; every later loss would be 0 * L_GFC
+    ("trainer", ("alpha1", "alpha2"), (0, 0), "$.trainer: alpha1 and alpha2 are both 0"),
+    ("dataset", "type", "imagenet", "$.dataset.type: unknown dataset type 'imagenet'"),
+    ("dataset", "class_noise", [0.05, 0.05], "$.dataset.class_noise: need 4 entries"),
+    ("trainer", "memory_mode", "lru", "$.trainer.memory_mode: must be fixed_total or"),
+    ("losses", "relation_target", "nearest", "$.losses: unknown relation_target 'nearest'"),
 ])
 def test_train_out_of_range_field_exits_2_with_path(tmp_path, capsys, block, key, value,
                                                     path):
-    bad = minimal_config(**{block: {key: value}})
+    # a tuple of keys sets each key to its entry in the tuple of values
+    fields = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
+    bad = minimal_config(**{block: fields})
     code = cli.main(["train", "--config", str(write_config(tmp_path, bad)),
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes, stream, message", [
+    (10, {"tasks": 3}, "$.stream.tasks: 10 classes do not divide into 3 equal tasks"),
+    (7, {"tasks": 2, "base_fraction": 0.5}, "$.dataset.classes: 7 classes cannot be halved"),
+    (6, {"tasks": 2, "base_fraction": 0.5},
+     "$.stream.tasks: 3 remaining classes do not divide into 2 tasks"),
+], ids=["equal-tasks", "odd-half", "uneven-rest"])
+def test_train_classes_that_do_not_split_into_the_tasks_exit_2_naming_the_field(
+        tmp_path, capsys, classes, stream, message):
+    config = write_config(tmp_path, minimal_config(dataset={"classes": classes}, stream=stream))
+    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: invalid configuration: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extents, named, size", [

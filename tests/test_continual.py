@@ -20,13 +20,10 @@ TINY_MODEL = ModelConfig(image_side=8, channels=1, patch_side=4, embed_dim=8,
 
 
 def tiny_run_setup(n_classes=4, tasks=2, samples=3, seed=11, noise=0.05):
-    spec = D.SyntheticSpec(n_classes=n_classes, samples_per_class=samples, side=8,
-                           class_noise=(noise,) * n_classes, seed=seed)
-    test_spec = D.SyntheticSpec(n_classes=n_classes, samples_per_class=2, side=8,
-                                class_noise=(noise,) * n_classes, seed=seed,
-                                split="test")
-    train = D.generate_synthetic(spec)
-    test = D.generate_synthetic(test_spec)
+    block = D.SyntheticBlock(classes=n_classes, samples_per_class=samples,
+                             test_samples_per_class=2, side=8,
+                             class_noise=(noise,) * n_classes, seed=seed)
+    train, test = D.generate_synthetic(block), D.generate_synthetic(block, "test")
     stream = D.split_tasks(n_classes, tasks, 0.0, seed=seed)
     model = IncrementalModel(TINY_MODEL, stream.task_sizes[0], np.random.default_rng(seed))
     return stream, train, test, model

@@ -11,16 +11,16 @@ from hfclab import data as D
 
 
 def small_spec(**overrides):
-    base = dict(n_classes=4, samples_per_class=6, side=8, channels=1,
+    base = dict(classes=4, samples_per_class=6, side=8, channels=1,
                 class_noise=(0.0, 0.02, 0.05, 0.05), seed=7)
     base.update(overrides)
-    return D.SyntheticSpec(**base)
+    return D.SyntheticBlock(**base)
 
 
-def nearest_template_accuracy(dataset: D.Dataset, spec: D.SyntheticSpec) -> float:
+def nearest_template_accuracy(dataset: D.Dataset, spec: D.SyntheticBlock) -> float:
     """1-NN against the class templates; the difficulty oracle for synthesis."""
     templates = np.stack([D.class_template(spec, c).reshape(-1)
-                          for c in range(spec.n_classes)])
+                          for c in range(spec.classes)])
     flat = dataset.images.reshape(len(dataset), -1)
     dists = ((flat[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2)
     return float((dists.argmin(axis=1) == dataset.labels).mean())
@@ -33,7 +33,7 @@ def nearest_template_accuracy(dataset: D.Dataset, spec: D.SyntheticSpec) -> floa
 def test_zero_noise_reproduces_template_exactly():
     spec = small_spec(class_noise=(0.0,) * 4)
     ds = D.generate_synthetic(spec)
-    for cls in range(spec.n_classes):
+    for cls in range(spec.classes):
         template = D.class_template(spec, cls)
         for i in np.flatnonzero(ds.labels == cls):
             np.testing.assert_array_equal(ds.images[i], template)
@@ -53,8 +53,8 @@ def test_different_seed_changes_dataset():
 
 
 def test_low_noise_classes_match_templates():
-    spec = D.SyntheticSpec(n_classes=6, samples_per_class=10, side=16,
-                           class_noise=(0.05,) * 6, seed=3)
+    spec = D.SyntheticBlock(classes=6, samples_per_class=10, side=16,
+                            class_noise=(0.05,) * 6, seed=3)
     ds = D.generate_synthetic(spec)
     assert nearest_template_accuracy(ds, spec) > 0.95
 
@@ -64,8 +64,8 @@ def test_difficulty_monotone_in_noise_on_average():
     for sigma in (0.02, 0.3, 0.6):
         accs = []
         for seed in (11, 12, 13):
-            spec = D.SyntheticSpec(n_classes=6, samples_per_class=12, side=16,
-                                   class_noise=(sigma,) * 6, seed=seed)
+            spec = D.SyntheticBlock(classes=6, samples_per_class=12, side=16,
+                                    class_noise=(sigma,) * 6, seed=seed)
             accs.append(nearest_template_accuracy(D.generate_synthetic(spec), spec))
         means.append(np.mean(accs))
     assert means[0] >= means[1] >= means[2]
@@ -75,36 +75,37 @@ def test_difficulty_monotone_in_noise_on_average():
 # sha256 of images.tobytes() and labels.tobytes(). Every generated dataset
 # depends on these bytes, so a rewrite of the generator keeps them; one that
 # does not is a declared change to every synthetic run.
+# train and test draw from one block
+RGB8 = D.SyntheticBlock(classes=3, samples_per_class=5, test_samples_per_class=5, side=8,
+                        channels=3, class_noise=(0.0, 0.05, 1.0), seed=7)
 GENERATOR_SHA256 = [
-    (dict(n_classes=3, samples_per_class=5, side=8, channels=3,
-          class_noise=(0.0, 0.05, 1.0), seed=7, split="train"),
+    (RGB8, "train",
      "17d45834ac658550ffb7bac3ef75d13326421dad2bc191cbb0644dcf5574ae39",
      "1f7e87a6d594c144e19148b8bca76ba8fddaf9d67dac688d626ed5ae17421734"),
-    (dict(n_classes=3, samples_per_class=5, side=8, channels=3,
-          class_noise=(0.0, 0.05, 1.0), seed=7, split="test"),
+    (RGB8, "test",
      "b5778ce3e654d6163cc778bfffee6f72efd4d3eef6e193556eb0d95a4a9aea50",
      "1f7e87a6d594c144e19148b8bca76ba8fddaf9d67dac688d626ed5ae17421734"),
-    (dict(n_classes=4, samples_per_class=6, side=16, channels=1,
-          class_noise=(0.02, 0.3, 0.0, 0.12), seed=11, split="train"),
+    (D.SyntheticBlock(classes=4, samples_per_class=6, side=16, channels=1,
+                      class_noise=(0.02, 0.3, 0.0, 0.12), seed=11), "train",
      "8004a0e38d3150839e139a804782866797246a05afb1a0ccb281e3c7ad974633",
      "b712b461082675ff9abb37d124bf685fbff24d77ac2e559f6b875e4da33a606f"),
-    (dict(n_classes=2, samples_per_class=3, side=16, channels=3,
-          class_noise=(0.3, 0.0), seed=5, split="test"),
+    (D.SyntheticBlock(classes=2, samples_per_class=3, test_samples_per_class=3, side=16,
+                      channels=3, class_noise=(0.3, 0.0), seed=5), "test",
      "9fdea68829ad1f376b68743b06dd29dfb3d743f0c60dad37d321ac3be41a1003",
      "0020bd656ca1c80cc5854d42f68b0ba484c370f6c4757fcb0809168482318e6e"),
     # the directional experiment's training set
-    (dict(n_classes=10, samples_per_class=60, side=16,
-          class_noise=tuple(np.linspace(0.02, 0.3, 10)), seed=3),
+    (D.SyntheticBlock(classes=10, samples_per_class=60, side=16,
+                      class_noise=tuple(np.linspace(0.02, 0.3, 10)), seed=3), "train",
      "9cd59e89daf555840c41427b815fd4935e66b32f29e76195c7ba5b3f2de264d9",
      "cab70c4e3ef902db48e7dd505a614a4168ffea6af26cddfab1bca9e94600005b"),
 ]
 
 
-@pytest.mark.parametrize("spec, images_sha256, labels_sha256", GENERATOR_SHA256,
+@pytest.mark.parametrize("block, split, images_sha256, labels_sha256", GENERATOR_SHA256,
                          ids=["rgb8-train", "rgb8-test", "gray16-train", "rgb16-test",
                               "directional16-train"])
-def test_generator_matches_the_pinned_hashes(spec, images_sha256, labels_sha256):
-    ds = D.generate_synthetic(D.SyntheticSpec(**spec))
+def test_generator_matches_the_pinned_hashes(block, split, images_sha256, labels_sha256):
+    ds = D.generate_synthetic(block, split)
     assert hashlib.sha256(ds.images.tobytes()).hexdigest() == images_sha256
     assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == labels_sha256
 
@@ -115,8 +116,18 @@ def test_pixels_stay_in_unit_interval():
 
 
 def test_spec_rejects_negative_noise():
-    with pytest.raises(ValueError):
-        small_spec(class_noise=(-0.1, 0, 0, 0))
+    with pytest.raises(ValueError, match="noise levels must be nonnegative"):
+        D.generate_synthetic(small_spec(class_noise=(-0.1, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("overrides, split, message", [
+    ({"seed": None}, "train", "the dataset seed must be set"),
+    ({}, "validation", "split must be 'train' or 'test', got 'validation'"),
+    ({"class_noise": (0.05,) * 3}, "train", "need one noise level per class"),
+], ids=["no-seed", "unknown-split", "short-noise"])
+def test_generator_refuses_a_block_it_cannot_draw(overrides, split, message):
+    with pytest.raises(ValueError, match=message):
+        D.generate_synthetic(small_spec(**overrides), split)
 
 
 def test_dataset_rejects_missing_class():

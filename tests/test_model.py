@@ -545,6 +545,11 @@ def test_checkpoint_missing_or_unknown_key_is_named(tmp_path, key):
     pytest.param(("config", "tsa_blocks"), 0,
                  'checkpoint config is invalid: tsa_blocks 0 needs classifier_input '
                  '"feature_cls"', id="tsa_blocks-fewer"),
+    # with no attention block neither classifier input reads a pixel
+    pytest.param(("config",), {**dataclasses.asdict(MICRO), "msa_blocks": 0, "tsa_blocks": 0,
+                               "classifier_input": "feature_cls"},
+                 "checkpoint config is invalid: msa_blocks and tsa_blocks are both 0",
+                 id="no-attention-block"),
     # classifier.bias has shape (3,); json.loads reads NaN and Infinity tokens
     pytest.param(("params", "classifier.bias", "data"), [None, float("nan"), 0.0],
                  "'classifier.bias'", id="bias-null-nan"),
