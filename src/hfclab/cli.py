@@ -58,16 +58,16 @@ def cmd_train(args) -> int:
         return 2
     try:
         cfg = parse_config(raw)
-        train_set, test_set = build_datasets(cfg, args.seed)
-        order_seed = (cfg.stream.class_order_seed
-                      if cfg.stream.class_order_seed is not None
-                      else stream_seed(args.seed, "class-order-root"))
+        n_classes = cfg.dataset.classes
         try:
-            stream = D.split_tasks(train_set.n_classes, cfg.stream.tasks,
-                                   cfg.stream.base_fraction, order_seed)
+            stream = D.split_tasks(cfg.stream, n_classes, args.seed)
         except ValueError as exc:  # the classes do not split into the tasks asked for
-            odd = cfg.stream.base_fraction == 0.5 and train_set.n_classes % 2
+            odd = cfg.stream.base_fraction == 0.5 and n_classes % 2
             raise ConfigError("$.dataset.classes" if odd else "$.stream.tasks", str(exc)) from None
+        except MemoryError:  # a class order too long to hold
+            raise ConfigError("$.dataset.classes", f"an order of {n_classes} classes is more "
+                              "than can be allocated") from None
+        train_set, test_set = build_datasets(cfg, args.seed)
         model = IncrementalModel(cfg.model, stream.task_sizes[0],
                                  stream_rng(args.seed, "init"))
     except (ConfigError, ValueError, OSError) as exc:

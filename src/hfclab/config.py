@@ -12,7 +12,7 @@ from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .continual import TrainerConfig
-from .data import CIFAR_CHANNELS, CIFAR_SIDE, CifarBlock, SyntheticBlock
+from .data import CIFAR_CHANNELS, CIFAR_SIDE, CifarBlock, StreamBlock, SyntheticBlock
 from .losses import LossConfig
 from .model import ModelConfig
 
@@ -23,13 +23,6 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-@dataclass(frozen=True)
-class StreamBlock:
-    tasks: int
-    base_fraction: float = 0.0
-    class_order_seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,7 @@ def parse_config(raw: Any) -> RunConfig:
     if dtype not in _DATASETS:
         raise ConfigError("$.dataset.type", f"unknown dataset type {dtype!r}")
     data = _DATASETS[dtype](**_fields(dataset, "$.dataset", _DATASETS[dtype]))
-    stream = StreamBlock(**_fields(stream_raw, "$.stream", StreamBlock))
+    stream = _build(StreamBlock, "$.stream", _fields(stream_raw, "$.stream", StreamBlock))
     model = _fields(blocks["model"], "$.model", ModelConfig, _DERIVED["model"])
     trainer = _fields(blocks["trainer"], "$.trainer", TrainerConfig, _DERIVED["trainer"])
     losses = _build(LossConfig, "$.losses", _fields(blocks["losses"], "$.losses", LossConfig))
@@ -137,8 +130,6 @@ def parse_config(raw: Any) -> RunConfig:
                 raise ConfigError("$.dataset.class_noise", f"need {data.classes} entries")
             if min(data.class_noise) < 0:
                 raise ConfigError("$.dataset.class_noise", "noise levels must be nonnegative")
-    if stream.base_fraction not in (0.0, 0.5):
-        raise ConfigError("$.stream.base_fraction", "must be 0.0 or 0.5")
     if trainer["memory_mode"] not in ("fixed_total", "per_class"):
         raise ConfigError("$.trainer.memory_mode", "must be fixed_total or per_class")
 

@@ -15,69 +15,15 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses as LS
 from . import metrics as MT
+from .data import Dataset, TaskStream
 from .model import IncrementalModel, atomic_open
 from .seeding import stream_rng
-
-if TYPE_CHECKING:
-    from .data import Dataset
-
-
-@dataclass
-class TaskStream:
-    """Ordered class-incremental tasks over a seeded permutation of classes.
-
-    class_order[i] is the original dataset label assigned incremental index i;
-    task t owns the contiguous incremental range given by task_sizes.
-    """
-
-    class_order: list[int]
-    task_sizes: list[int]
-
-    def __post_init__(self):
-        if sum(self.task_sizes) != len(self.class_order):
-            raise ValueError("task sizes must cover the class order exactly")
-        if sorted(self.class_order) != list(range(len(self.class_order))):
-            raise ValueError("class order must permute 0..n_classes-1")
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_sizes)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_order)
-
-    def label_spaces(self) -> list[list[int]]:
-        """Incremental-index label space of each task (contiguous, disjoint)."""
-        spaces = []
-        start = 0
-        for size in self.task_sizes:
-            spaces.append(list(range(start, start + size)))
-            start += size
-        return spaces
-
-    def class_to_task(self) -> np.ndarray:
-        out = np.empty(self.n_classes, dtype=np.int64)
-        for t, space in enumerate(self.label_spaces()):
-            out[space] = t
-        return out
-
-    def remap(self) -> np.ndarray:
-        """original label -> incremental index."""
-        out = np.empty(self.n_classes, dtype=np.int64)
-        for inc, orig in enumerate(self.class_order):
-            out[orig] = inc
-        return out
-
-    def n_seen(self, task_index: int) -> int:
-        return sum(self.task_sizes[: task_index + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +180,8 @@ class TaskRecord:
 
 def run_stream(
     stream: TaskStream,
-    train_set: "Dataset",
-    test_set: "Dataset",
+    train_set: Dataset,
+    test_set: Dataset,
     model: IncrementalModel,
     config: TrainerConfig,
     master_seed: int,

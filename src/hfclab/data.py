@@ -10,11 +10,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .continual import TaskStream
-from .seeding import stream_rng
+from .seeding import stream_rng, stream_seed
 
 CIFAR_SIDE = 32
 CIFAR_CHANNELS = 3
@@ -91,10 +91,13 @@ class CifarBlock:
     train_path: str
     test_path: str
     horizontal_flip: bool = False
+    classes: ClassVar[int] = CIFAR_CLASSES
 
 
 def class_template(block: SyntheticBlock, cls: int) -> np.ndarray:
     """Deterministic low-frequency pattern for one class, in [0.1, 0.9]."""
+    if block.seed is None:
+        raise ValueError("the dataset seed must be set")
     rng = stream_rng(block.seed, f"template/{cls}")
     coords = np.arange(block.side) / block.side
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
@@ -139,8 +142,6 @@ def generate_synthetic(block: SyntheticBlock, split: str = "train") -> Dataset:
     (scaled by level) in (channel, row, column) order. At level 0 both scale
     to zero and the samples are the template.
     """
-    if block.seed is None:
-        raise ValueError("the dataset seed must be set")
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     noise = block.class_noise if block.class_noise is not None else (0.05,) * block.classes
@@ -280,27 +281,80 @@ def load_dataset_binary(path: str | Path) -> Dataset:
 # task splitting
 
 
-def split_tasks(n_classes: int, tasks: int, base_fraction: float, seed: int) -> TaskStream:
-    """Seeded class permutation cut into task blocks.
+@dataclass(frozen=True)
+class StreamBlock:
+    """The config's task stream: `tasks` equal blocks, or (base_fraction 0.5) half
+    the classes first and `tasks` equal blocks of the rest. A None class_order_seed
+    is derived from the master seed."""
 
-    base_fraction 0.0: `tasks` equal blocks. base_fraction 0.5: one big first
-    block holding half the classes, then `tasks` equal blocks of the rest
-    (tasks + 1 blocks total).
+    tasks: int
+    base_fraction: float = 0.0
+    class_order_seed: int | None = None
+
+    def __post_init__(self):
+        if self.tasks < 1:
+            raise ValueError(f"tasks must be at least 1, got {self.tasks}")
+        if self.base_fraction not in (0.0, 0.5):
+            raise ValueError(f"base_fraction must be 0.0 or 0.5, got {self.base_fraction}")
+
+
+@dataclass
+class TaskStream:
+    """Ordered class-incremental tasks over a seeded permutation of classes.
+
+    class_order[i] is the original dataset label assigned incremental index i;
+    task t owns the contiguous incremental range given by task_sizes.
     """
-    if tasks < 1:
-        raise ValueError("need at least one task")
-    order = [int(c) for c in stream_rng(seed, "class-order").permutation(n_classes)]
-    if base_fraction == 0.0:
+
+    class_order: list[int]
+    task_sizes: list[int]
+
+    def __post_init__(self):
+        if sum(self.task_sizes) != len(self.class_order):
+            raise ValueError("task sizes must cover the class order exactly")
+        if sorted(self.class_order) != list(range(len(self.class_order))):
+            raise ValueError("class order must permute 0..n_classes-1")
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.task_sizes)
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_order)
+
+    def label_spaces(self) -> list[list[int]]:
+        """Incremental-index label space of each task (contiguous, disjoint)."""
+        ends = np.cumsum(self.task_sizes, dtype=np.int64).tolist()
+        return [list(range(end - size, end)) for size, end in zip(self.task_sizes, ends)]
+
+    def class_to_task(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_tasks, dtype=np.int64), self.task_sizes)
+
+    def remap(self) -> np.ndarray:
+        """original label -> incremental index (the inverse permutation)."""
+        return np.argsort(self.class_order)
+
+    def n_seen(self, task_index: int) -> int:
+        return sum(self.task_sizes[: task_index + 1])
+
+
+def split_tasks(stream: StreamBlock, n_classes: int, master_seed: int) -> TaskStream:
+    """The block's task sizes over n_classes, judged before the class order is
+    drawn from class_order_seed (None: a seed derived from master_seed)."""
+    tasks = stream.tasks
+    if stream.base_fraction == 0.0:
         if n_classes % tasks != 0:
             raise ValueError(f"{n_classes} classes do not divide into {tasks} equal tasks")
         sizes = [n_classes // tasks] * tasks
-    elif base_fraction == 0.5:
+    else:  # 0.5: one big first block holding half the classes (tasks + 1 blocks)
         if n_classes % 2 != 0:
             raise ValueError(f"{n_classes} classes cannot be halved")
         rest = n_classes // 2
         if rest % tasks != 0:
             raise ValueError(f"{rest} remaining classes do not divide into {tasks} tasks")
         sizes = [rest] + [rest // tasks] * tasks
-    else:
-        raise ValueError(f"base_fraction must be 0.0 or 0.5, got {base_fraction}")
+    seed = (stream_seed(master_seed, "class-order-root") if stream.class_order_seed is None
+            else stream.class_order_seed)
+    order = stream_rng(seed, "class-order").permutation(n_classes).tolist()
     return TaskStream(class_order=order, task_sizes=sizes)

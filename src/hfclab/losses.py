@@ -128,19 +128,22 @@ def _group_means(groups: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return members / members.sum(axis=1, keepdims=True)
 
 
-def _balanced_weights(batch: BatchView, sharp: np.ndarray, groups: np.ndarray,
+def _balanced_weights(batch: BatchView, sharp: np.ndarray, groups: np.ndarray | None,
                       stop_gradient: bool = True) -> Tensor:
     """One weight per distinct group, in ascending order: the group's sharpened
-    mean over its task's sharpened mean, or 1 where that task mean is 0.
+    mean over its task's sharpened mean, or 1 where that task mean is 0. Groups
+    None makes each sample its own group, whose mean is its own statistic.
 
     Detached weights are computed from the statistic ``sharp``; differentiable
     ones from the live predictions.
     """
     statistic = ad.constant(sharp) if stop_gradient else _sharpened_tensor(batch)
-    keys, first = np.unique(groups, return_index=True)
+    keys, first = np.unique(np.arange(batch.batch_size) if groups is None else groups,
+                            return_index=True)
     tasks = batch.sample_tasks()
     column = ad.reshape(statistic, (batch.batch_size, 1))
-    group_mean = ad.matmul(ad.constant(_group_means(groups, keys)), column)
+    group_mean = (column if groups is None
+                  else ad.matmul(ad.constant(_group_means(groups, keys)), column))
     task_mean = ad.matmul(ad.constant(_group_means(tasks, tasks[first])), column)
     # a perfectly predicted task (no nonzero statistic) keeps unit weight; decided
     # on the detached statistic because the live one clamps |g| and is never 0
@@ -168,7 +171,7 @@ def gfc_loss(batch: BatchView, sharp: np.ndarray, stop_gradient: bool = True) ->
     """Cross-entropy with each sample scaled by its sharpened statistic over
     its task's sharpened mean; a task whose mean is zero keeps weight 1.
     """
-    weights = _balanced_weights(batch, sharp, np.arange(batch.batch_size), stop_gradient)
+    weights = _balanced_weights(batch, sharp, None, stop_gradient)
     return ad.mean(ad.mul(weights, per_sample_ce(batch)))
 
 

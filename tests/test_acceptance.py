@@ -175,7 +175,7 @@ def test_criterion_4_protocol_invariants(capsys, monkeypatch, tmp_path):
     block = D.SyntheticBlock(classes=6, samples_per_class=30, test_samples_per_class=4,
                              side=8, class_noise=(0.05,) * 6, seed=3)
     train, test = D.generate_synthetic(block), D.generate_synthetic(block, "test")
-    stream = D.split_tasks(6, 3, 0.0, seed=11)
+    stream = D.split_tasks(D.StreamBlock(3, 0.0, class_order_seed=11), 6, 3)
 
     # label spaces are pairwise disjoint and cover every class once
     spaces = stream.label_spaces()
@@ -237,7 +237,7 @@ def _experiment_run(seed: int, uniform_weights: bool) -> C.TaskRecord:
     block = D.SyntheticBlock(10, 60, 20, side=16, class_noise=noise,
                              seed=stream_seed(seed, "dataset"))
     train, test = D.generate_synthetic(block, "train"), D.generate_synthetic(block, "test")
-    stream = D.split_tasks(10, 5, 0.0, stream_seed(seed, "class-order-root"))
+    stream = D.split_tasks(D.StreamBlock(5, 0.0), 10, seed)
     model = IncrementalModel(DEFAULT_MODEL, stream.task_sizes[0], stream_rng(seed, "init"))
     cfg = C.TrainerConfig(memory_capacity=100,
                           alpha2=0.0 if uniform_weights else C.TrainerConfig().alpha2,
@@ -314,9 +314,9 @@ def test_criterion_7_format_fidelity(capsys, tmp_path):
     D.write_label_records(dst, coarse, fine, pixels)
     assert dst.read_bytes() == blob
 
-    equal = D.split_tasks(100, 5, 0.0, seed=2)
+    equal = D.split_tasks(D.StreamBlock(5, 0.0, class_order_seed=2), 100, 0)
     assert equal.task_sizes == [20] * 5
-    half = D.split_tasks(100, 5, 0.5, seed=2)
+    half = D.split_tasks(D.StreamBlock(5, 0.5, class_order_seed=2), 100, 0)
     assert half.task_sizes == [50, 10, 10, 10, 10, 10]
     with capsys.disabled():
         report(7, "50-record round-trip byte-exact; split shapes 5x20 and 50+5x10")

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfclab import cli
+from hfclab import data as D
 from hfclab import gradcheck as GC
-from hfclab.config import ConfigError, StreamBlock, config_to_dict, parse_config
+from hfclab.config import ConfigError, config_to_dict, parse_config
 from hfclab.continual import TrainerConfig
-from hfclab.data import CifarBlock, SyntheticBlock
+from hfclab.data import CifarBlock, StreamBlock, SyntheticBlock
 from hfclab.losses import LossConfig
 from hfclab.model import ModelConfig
 
@@ -224,7 +225,7 @@ def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     code = cli.main(["train", "--config", str(write_config(tmp_path, bad)),
                      "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "base_fraction" in capsys.readouterr().err
+    assert "$.stream: base_fraction must be 0.0 or 0.5, got 0.3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, key, value, path", [
@@ -272,18 +273,45 @@ def test_train_out_of_range_field_exits_2_with_path(tmp_path, capsys, block, key
     assert path in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("classes, stream, message", [
-    (10, {"tasks": 3}, "$.stream.tasks: 10 classes do not divide into 3 equal tasks"),
-    (7, {"tasks": 2, "base_fraction": 0.5}, "$.dataset.classes: 7 classes cannot be halved"),
-    (6, {"tasks": 2, "base_fraction": 0.5},
+@pytest.mark.parametrize("dataset, stream, message", [
+    ({"classes": 10}, {"tasks": 3}, "$.stream.tasks: 10 classes do not divide into 3 equal tasks"),
+    ({"classes": 7}, {"tasks": 2, "base_fraction": 0.5},
+     "$.dataset.classes: 7 classes cannot be halved"),
+    ({"classes": 6}, {"tasks": 2, "base_fraction": 0.5},
      "$.stream.tasks: 3 remaining classes do not divide into 2 tasks"),
-], ids=["equal-tasks", "odd-half", "uneven-rest"])
+    # the split is judged on the class count the config states, before any file is read
+    ({"type": "cifar100", "train_path": "/no/such/train.bin", "test_path": "/no/such/test.bin"},
+     {"tasks": 3}, "$.stream.tasks: 100 classes do not divide into 3 equal tasks"),
+], ids=["equal-tasks", "odd-half", "uneven-rest", "cifar100"])
 def test_train_classes_that_do_not_split_into_the_tasks_exit_2_naming_the_field(
-        tmp_path, capsys, classes, stream, message):
-    config = write_config(tmp_path, minimal_config(dataset={"classes": classes}, stream=stream))
-    code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        tmp_path, capsys, monkeypatch, dataset, stream, message):
+    def build(*args):
+        raise AssertionError("a dataset was built for a split that does not fit")
+
+    monkeypatch.setattr(D, "generate_synthetic", build)
+    monkeypatch.setattr(D, "load_cifar100_binary", build)
+    config = minimal_config(stream=stream)
+    if dataset.get("type") == "cifar100":
+        config["dataset"] = dataset
+    else:
+        config["dataset"].update(dataset)
+    code = cli.main(["train", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"error: invalid configuration: {message}" in capsys.readouterr().err
+
+
+def test_train_class_order_too_long_to_hold_exits_2_naming_the_classes(tmp_path, capsys,
+                                                                       monkeypatch):
+    def split(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(D, "split_tasks", split)
+    code = cli.main(["train", "--config", str(write_config(tmp_path, minimal_config())),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("error: invalid configuration: $.dataset.classes: an order of 4 classes is more "
+            "than can be allocated") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extents, named, size", [

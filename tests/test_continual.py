@@ -24,7 +24,7 @@ def tiny_run_setup(n_classes=4, tasks=2, samples=3, seed=11, noise=0.05):
                              test_samples_per_class=2, side=8,
                              class_noise=(noise,) * n_classes, seed=seed)
     train, test = D.generate_synthetic(block), D.generate_synthetic(block, "test")
-    stream = D.split_tasks(n_classes, tasks, 0.0, seed=seed)
+    stream = D.split_tasks(D.StreamBlock(tasks, 0.0, class_order_seed=seed), n_classes, seed)
     model = IncrementalModel(TINY_MODEL, stream.task_sizes[0], np.random.default_rng(seed))
     return stream, train, test, model
 
@@ -34,7 +34,7 @@ def tiny_run_setup(n_classes=4, tasks=2, samples=3, seed=11, noise=0.05):
 
 
 def test_stream_label_spaces_disjoint_and_contiguous():
-    stream = C.TaskStream(class_order=[3, 1, 0, 2], task_sizes=[2, 2])
+    stream = D.TaskStream(class_order=[3, 1, 0, 2], task_sizes=[2, 2])
     spaces = stream.label_spaces()
     assert spaces == [[0, 1], [2, 3]]
     assert stream.n_seen(0) == 2 and stream.n_seen(1) == 4
@@ -42,7 +42,7 @@ def test_stream_label_spaces_disjoint_and_contiguous():
 
 
 def test_stream_remap_inverts_class_order():
-    stream = C.TaskStream(class_order=[3, 1, 0, 2], task_sizes=[2, 2])
+    stream = D.TaskStream(class_order=[3, 1, 0, 2], task_sizes=[2, 2])
     remap = stream.remap()
     # original label 3 -> incremental 0, etc.
     np.testing.assert_array_equal(remap, [2, 1, 3, 0])
@@ -51,12 +51,12 @@ def test_stream_remap_inverts_class_order():
 
 
 def test_stream_rejects_bad_partitions():
-    with pytest.raises(ValueError):
-        C.TaskStream(class_order=[0, 1, 2], task_sizes=[2, 2])
-    with pytest.raises(ValueError):
-        C.TaskStream(class_order=[0, 1, 1], task_sizes=[3])
-    with pytest.raises(ValueError):
-        C.TaskStream(class_order=[0, 2, 3], task_sizes=[3])
+    with pytest.raises(ValueError, match="task sizes must cover the class order exactly"):
+        D.TaskStream(class_order=[0, 1, 2], task_sizes=[2, 2])
+    with pytest.raises(ValueError, match="class order must permute"):
+        D.TaskStream(class_order=[0, 1, 1], task_sizes=[3])
+    with pytest.raises(ValueError, match="class order must permute"):
+        D.TaskStream(class_order=[0, 2, 3], task_sizes=[3])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Tests for synthesis, binary formats, and task splitting."""
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hfclab import data as D
+from hfclab.seeding import stream_seed
 
 
 def small_spec(**overrides):
@@ -128,6 +133,20 @@ def test_spec_rejects_negative_noise():
 def test_generator_refuses_a_block_it_cannot_draw(overrides, split, message):
     with pytest.raises(ValueError, match=message):
         D.generate_synthetic(small_spec(**overrides), split)
+
+
+def test_class_template_refuses_a_block_without_a_seed():
+    with pytest.raises(ValueError, match="the dataset seed must be set"):
+        D.class_template(D.SyntheticBlock(classes=2, samples_per_class=1), 0)
+
+
+def test_importing_data_loads_no_trainer_model_or_autodiff():
+    code = ("import sys, hfclab.data; print(sorted(m for m in ('hfclab.continual', "
+            "'hfclab.model', 'hfclab.autodiff') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(D.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_dataset_rejects_missing_class():
@@ -391,19 +410,19 @@ def test_dataset_binary_rejects_bad_magic(tmp_path):
 
 
 def test_equal_split_shapes():
-    stream = D.split_tasks(100, 5, 0.0, seed=1)
+    stream = D.split_tasks(D.StreamBlock(5, 0.0, class_order_seed=1), 100, 0)
     assert stream.task_sizes == [20] * 5
     assert stream.n_tasks == 5
 
 
 def test_half_base_split_shapes():
-    stream = D.split_tasks(100, 5, 0.5, seed=1)
+    stream = D.split_tasks(D.StreamBlock(5, 0.5, class_order_seed=1), 100, 0)
     assert stream.task_sizes == [50, 10, 10, 10, 10, 10]
     assert stream.n_tasks == 6
 
 
 def test_split_disjoint_and_exhaustive():
-    stream = D.split_tasks(12, 4, 0.0, seed=9)
+    stream = D.split_tasks(D.StreamBlock(4, 0.0, class_order_seed=9), 12, 0)
     spaces = stream.label_spaces()
     seen = [c for space in spaces for c in space]
     assert sorted(seen) == list(range(12))
@@ -412,20 +431,36 @@ def test_split_disjoint_and_exhaustive():
 
 
 def test_split_is_pure_function_of_seed():
-    a = D.split_tasks(20, 4, 0.0, seed=5)
-    b = D.split_tasks(20, 4, 0.0, seed=5)
-    c = D.split_tasks(20, 4, 0.0, seed=6)
+    a = D.split_tasks(D.StreamBlock(4, 0.0, class_order_seed=5), 20, 0)
+    b = D.split_tasks(D.StreamBlock(4, 0.0, class_order_seed=5), 20, 0)
+    c = D.split_tasks(D.StreamBlock(4, 0.0, class_order_seed=6), 20, 0)
     assert a.class_order == b.class_order
     assert a.class_order != c.class_order
 
 
 def test_split_rejects_indivisible():
-    with pytest.raises(ValueError):
-        D.split_tasks(10, 3, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        D.split_tasks(10, 4, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        D.split_tasks(10, 2, 0.3, seed=0)
+    with pytest.raises(ValueError, match="10 classes do not divide into 3 equal tasks"):
+        D.split_tasks(D.StreamBlock(3, 0.0, class_order_seed=0), 10, 0)
+    with pytest.raises(ValueError, match="5 remaining classes do not divide into 4 tasks"):
+        D.split_tasks(D.StreamBlock(4, 0.5, class_order_seed=0), 10, 0)
+    with pytest.raises(ValueError, match="base_fraction must be 0.0 or 0.5, got 0.3"):
+        D.split_tasks(D.StreamBlock(2, 0.3, class_order_seed=0), 10, 0)
+
+
+@pytest.mark.parametrize("tasks, base_fraction, message", [
+    (0, 0.0, "tasks must be at least 1, got 0"),
+    (2, 0.3, "base_fraction must be 0.0 or 0.5, got 0.3"),
+], ids=["no-tasks", "third-base"])
+def test_stream_block_refuses_a_split_it_cannot_cut(tasks, base_fraction, message):
+    with pytest.raises(ValueError, match=message):
+        D.StreamBlock(tasks, base_fraction)
+
+
+def test_split_without_a_class_order_seed_derives_it_from_the_master_seed():
+    derived = D.split_tasks(D.StreamBlock(4), 20, 7)
+    explicit = D.StreamBlock(4, class_order_seed=stream_seed(7, "class-order-root"))
+    assert derived == D.split_tasks(explicit, 20, 99)
+    assert derived != D.split_tasks(D.StreamBlock(4), 20, 8)
 
 
 def test_dataset_binary_rejects_cut_off_header_with_offset(tmp_path):

@@ -335,6 +335,25 @@ def test_gfc_stop_gradient_changes_the_gradient():
     assert not np.allclose(grad_of(True), grad_of(False))
 
 
+@pytest.mark.parametrize("stop_gradient", [True, False])
+def test_per_sample_groups_match_the_averaging_product_bit_for_bit(stop_gradient):
+    # groups None reads each sample's own statistic; arange(b) averages through
+    # an identity product. Weights and their gradients must be the same bits.
+    rng = np.random.default_rng(29)
+    logits0 = rng.normal(size=(9, 5))
+    labels = rng.integers(0, 5, size=9)
+
+    def weights_and_grad(groups):
+        t = Tensor(logits0.copy(), requires_grad=True)
+        batch = L.BatchView(ad.softmax(t, axis=1), labels, np.array([0, 0, 1, 2, 2]), 3, 2)
+        weights = L._balanced_weights(batch, L.gradient_stats(batch), groups, stop_gradient)
+        ad.backward(ad.sum_(ad.mul(weights, L.per_sample_ce(batch))))
+        return weights.data, t.grad
+
+    for got, want in zip(weights_and_grad(None), weights_and_grad(np.arange(9))):
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # relation targets and prototypes
 
