@@ -1,8 +1,9 @@
 """Run configuration: a versioned JSON schema validated before any work.
 
 Each block's keys, types and defaults are the fields of the dataclass it
-parses into. Unknown keys are rejected with the offending field path so typos
-fail fast instead of silently falling back to defaults.
+parses into, and that dataclass alone checks their values. Parsing checks the
+JSON shape (types, finiteness, missing and unknown keys, each refused with its
+field path so typos fail fast) and the one rule that spans two blocks.
 """
 from __future__ import annotations
 
@@ -36,8 +37,6 @@ class RunConfig:
 _DATASETS = {"synthetic": SyntheticBlock, "cifar100": CifarBlock}
 # fields filled in from other blocks; their own block may not set them
 _DERIVED = {"model": ("image_side", "channels"), "trainer": ("flip_augment", "loss")}
-# integer fields are counts and must be at least 1, except these
-_MAY_BE_ZERO = frozenset({"msa_blocks", "tsa_blocks", "memory_capacity", "per_class_quota"})
 _TYPES = {int: "integer", str: "string", bool: "boolean", dict: "object"}
 
 
@@ -79,14 +78,8 @@ def _fields(raw: dict, path: str, cls, skip: tuple[str, ...] = ()) -> dict:
     """Checked values for the fields of `cls` (minus `skip`), defaults filled in."""
     raw = dict(raw)
     hints = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        if f.name in skip:
-            continue
-        values[f.name] = _take(raw, path, f.name, hints[f.name], f.default)
-        minimum = 0 if f.name in _MAY_BE_ZERO else 1
-        if hints[f.name] is int and values[f.name] < minimum:
-            raise ConfigError(f"{path}.{f.name}", f"must be at least {minimum}")
+    values = {f.name: _take(raw, path, f.name, hints[f.name], f.default)
+              for f in fields(cls) if f.name not in skip}
     if raw:
         raise ConfigError(f"{path}.{sorted(raw)[0]}", "unknown key")
     return values
@@ -115,26 +108,21 @@ def parse_config(raw: Any) -> RunConfig:
     dtype = _take(dataset, "$.dataset", "type", str)
     if dtype not in _DATASETS:
         raise ConfigError("$.dataset.type", f"unknown dataset type {dtype!r}")
-    data = _DATASETS[dtype](**_fields(dataset, "$.dataset", _DATASETS[dtype]))
+    data = _build(_DATASETS[dtype], "$.dataset", _fields(dataset, "$.dataset", _DATASETS[dtype]))
     stream = _build(StreamBlock, "$.stream", _fields(stream_raw, "$.stream", StreamBlock))
     model = _fields(blocks["model"], "$.model", ModelConfig, _DERIVED["model"])
     trainer = _fields(blocks["trainer"], "$.trainer", TrainerConfig, _DERIVED["trainer"])
     losses = _build(LossConfig, "$.losses", _fields(blocks["losses"], "$.losses", LossConfig))
 
-    if isinstance(data, SyntheticBlock):
-        if data.side % model["patch_side"] != 0:
-            raise ConfigError("$.dataset.side",
-                              f"must be divisible by model patch_side {model['patch_side']}")
-        if data.class_noise is not None:
-            if len(data.class_noise) != data.classes:
-                raise ConfigError("$.dataset.class_noise", f"need {data.classes} entries")
-            if min(data.class_noise) < 0:
-                raise ConfigError("$.dataset.class_noise", "noise levels must be nonnegative")
-    if trainer["memory_mode"] not in ("fixed_total", "per_class"):
-        raise ConfigError("$.trainer.memory_mode", "must be fixed_total or per_class")
-
+    # the one rule across blocks; a patch_side below 1 is ModelConfig's to refuse
     cifar = isinstance(data, CifarBlock)
     side, channels = (CIFAR_SIDE, CIFAR_CHANNELS) if cifar else (data.side, data.channels)
+    patch = model["patch_side"]
+    if patch > 0 and side % patch != 0:
+        if cifar:
+            raise ConfigError("$.model.patch_side",
+                              f"must divide the cifar100 image side {side}, got {patch}")
+        raise ConfigError("$.dataset.side", f"must be divisible by model patch_side {patch}")
     return RunConfig(
         dataset=data, stream=stream,
         model=_build(ModelConfig, "$.model",

@@ -58,21 +58,15 @@ def herding_select(features: np.ndarray, quota: int) -> list[int]:
 
 @dataclass
 class ExemplarMemory:
-    """Priority-ordered per-class exemplar indices under a shared budget.
+    """Priority-ordered per-class exemplar indices under the trainer config's budget.
 
-    fixed_total mode re-quotas to floor(capacity / seen classes) after each
-    task, truncating existing lists to a prefix; per_class mode keeps a flat
-    quota per class and never touches old lists.
+    memory_mode fixed_total re-quotas to floor(memory_capacity / seen classes)
+    after each task, truncating existing lists to a prefix; per_class keeps
+    per_class_quota per class and never touches old lists.
     """
 
-    capacity: int
-    mode: str = "fixed_total"  # "fixed_total" | "per_class"
-    per_class_quota: int = 20
+    config: TrainerConfig
     store: dict[int, list[int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.mode not in ("fixed_total", "per_class"):
-            raise ValueError(f"unknown memory mode {self.mode!r}")
 
     def all_indices(self) -> list[int]:
         out: list[int] = []
@@ -87,12 +81,12 @@ class ExemplarMemory:
         per_class_features maps each new class to (dataset indices, feature
         rows from the just-trained model), index-aligned.
         """
-        if self.mode == "fixed_total":
-            quota = self.capacity // n_seen_classes
+        if self.config.memory_mode == "fixed_total":
+            quota = self.config.memory_capacity // n_seen_classes
             for cls in self.store:
                 self.store[cls] = self.store[cls][:quota]
         else:
-            quota = self.per_class_quota
+            quota = self.config.per_class_quota
         for cls in sorted(per_class_features):
             indices, features = per_class_features[cls]
             take = min(quota, len(indices))
@@ -160,8 +154,13 @@ class TrainerConfig:
                              "would train on a loss that is always 0")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+        for name, least in (("epochs_per_task", 1), ("batch_size", 1),
+                            ("memory_capacity", 0), ("per_class_quota", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.memory_mode not in ("fixed_total", "per_class"):
+            raise ValueError("memory_mode must be fixed_total or per_class, "
+                             f"got {self.memory_mode!r}")
 
 
 @dataclass
@@ -206,8 +205,7 @@ def run_stream(
     train_labels = remap[train_set.labels]
     test_labels = remap[test_set.labels]
     class_to_task = stream.class_to_task()
-    memory = ExemplarMemory(config.memory_capacity, config.memory_mode,
-                            config.per_class_quota)
+    memory = ExemplarMemory(config)
     batch_rng = stream_rng(master_seed, "batching")
     expand_rng = stream_rng(master_seed, "classifier-init")
     optimizer = SgdOptimizer(model.parameters(), config.learning_rate, config.momentum)

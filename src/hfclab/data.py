@@ -83,6 +83,18 @@ class SyntheticBlock:
     class_noise: tuple[float, ...] | None = None  # None: 0.05 per class
     seed: int | None = None  # None: derived from the master seed before generating
 
+    def __post_init__(self):
+        for name in ("classes", "samples_per_class", "test_samples_per_class", "side",
+                     "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.class_noise is not None:
+            if len(self.class_noise) != self.classes:
+                raise ValueError(f"class_noise needs {self.classes} entries, "
+                                 f"got {len(self.class_noise)}")
+            if (lowest := min(self.class_noise)) < 0:
+                raise ValueError(f"class_noise levels must be nonnegative, got {lowest}")
+
 
 @dataclass(frozen=True)
 class CifarBlock:
@@ -145,10 +157,6 @@ def generate_synthetic(block: SyntheticBlock, split: str = "train") -> Dataset:
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     noise = block.class_noise if block.class_noise is not None else (0.05,) * block.classes
-    if len(noise) != block.classes:
-        raise ValueError("need one noise level per class")
-    if any(s < 0 for s in noise):
-        raise ValueError("noise levels must be nonnegative")
     k = block.samples_per_class if split == "train" else block.test_samples_per_class
     images = np.empty((block.classes * k, block.channels, block.side, block.side))
     for cls, sigma in enumerate(noise):

@@ -40,7 +40,9 @@ def minimal_config(**overrides):
         "trainer": {"epochs_per_task": 1, "batch_size": 4, "memory_capacity": 8},
     }
     for key, value in overrides.items():
-        if isinstance(value, dict):
+        if key == "dataset" and value.get("type", "synthetic") != "synthetic":
+            cfg[key] = dict(value)  # another dataset type shares no synthetic key
+        elif isinstance(value, dict):
             cfg.setdefault(key, {}).update(value)
         else:
             cfg[key] = value
@@ -228,20 +230,29 @@ def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     assert "$.stream: base_fraction must be 0.0 or 0.5, got 0.3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("block, key, value, path", [
-    ("model", "heads", 0, "$.model.heads"),
-    ("model", "patch_side", 0, "$.model.patch_side"),
-    ("model", "embed_dim", 0, "$.model.embed_dim"),
-    ("model", "mlp_ratio", 0, "$.model.mlp_ratio"),
-    ("dataset", "channels", 0, "$.dataset.channels"),
-    ("model", "msa_blocks", -1, "$.model.msa_blocks"),
-    ("trainer", "memory_capacity", -1, "$.trainer.memory_capacity"),
-    ("trainer", "per_class_quota", -1, "$.trainer.per_class_quota"),
-    ("trainer", "epochs_per_task", 0, "$.trainer.epochs_per_task"),
+def refused(block, key, value, message):
+    """A table row whose id ends in the refused field's path, `$.block.key`."""
+    return pytest.param(block, key, value, message, id=f"{block}-{key}-{value}-$.{block}.{key}")
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    refused("model", "heads", 0, "$.model: heads must be at least 1, got 0"),
+    refused("model", "patch_side", 0, "$.model: patch_side must be at least 1, got 0"),
+    refused("model", "embed_dim", 0, "$.model: embed_dim must be at least 1, got 0"),
+    refused("model", "mlp_ratio", 0, "$.model: mlp_ratio must be at least 1, got 0"),
+    refused("dataset", "channels", 0, "$.dataset: channels must be at least 1, got 0"),
+    refused("model", "msa_blocks", -1, "$.model: msa_blocks must be at least 0, got -1"),
+    refused("trainer", "memory_capacity", -1,
+            "$.trainer: memory_capacity must be at least 0, got -1"),
+    refused("trainer", "per_class_quota", -1,
+            "$.trainer: per_class_quota must be at least 0, got -1"),
+    refused("trainer", "epochs_per_task", 0,
+            "$.trainer: epochs_per_task must be at least 1, got 0"),
     ("trainer", "alpha1", -0.5, "$.trainer:"),
     ("trainer", "learning_rate", -0.02, "$.trainer:"),
     ("trainer", "learning_rate", 0.0, "$.trainer:"),
-    ("dataset", "class_noise", [0.05, -0.1, 0.05, 0.05], "$.dataset.class_noise:"),
+    ("dataset", "class_noise", [0.05, -0.1, 0.05, 0.05],
+     "$.dataset: class_noise levels must be nonnegative, got -0.1"),
     # json.loads reads NaN and +-Infinity tokens; json.dumps writes them
     ("trainer", "learning_rate", float("nan"), "$.trainer.learning_rate:"),
     ("trainer", "alpha2", float("inf"), "$.trainer.alpha2:"),
@@ -258,19 +269,31 @@ def test_train_bad_field_exits_2_with_path(tmp_path, capsys):
     # the first task ignores both coefficients; every later loss would be 0 * L_GFC
     ("trainer", ("alpha1", "alpha2"), (0, 0), "$.trainer: alpha1 and alpha2 are both 0"),
     ("dataset", "type", "imagenet", "$.dataset.type: unknown dataset type 'imagenet'"),
-    ("dataset", "class_noise", [0.05, 0.05], "$.dataset.class_noise: need 4 entries"),
-    ("trainer", "memory_mode", "lru", "$.trainer.memory_mode: must be fixed_total or"),
+    ("dataset", "class_noise", [0.05, 0.05], "$.dataset: class_noise needs 4 entries, got 2"),
+    refused("trainer", "memory_mode", "lru",
+            "$.trainer: memory_mode must be fixed_total or per_class, got 'lru'"),
     ("losses", "relation_target", "nearest", "$.losses: unknown relation_target 'nearest'"),
+    # the image side spans two blocks: the dataset's own side, or CIFAR-100's fixed 32
+    ("dataset", "side", 10, "$.dataset.side: must be divisible by model patch_side 4"),
+    pytest.param(("dataset",) * 3 + ("model",), ("type", "train_path", "test_path", "patch_side"),
+                 ("cifar100", "/no/such/train.bin", "/no/such/test.bin", 5),
+                 "$.model.patch_side: must divide the cifar100 image side 32, got 5",
+                 id="cifar100-patch_side-5-$.model.patch_side"),
 ])
 def test_train_out_of_range_field_exits_2_with_path(tmp_path, capsys, block, key, value,
-                                                    path):
-    # a tuple of keys sets each key to its entry in the tuple of values
-    fields = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
-    bad = minimal_config(**{block: fields})
+                                                    message):
+    # a tuple of keys sets each key to its entry in the tuple of values, in the block
+    # at the same place when the blocks are a tuple too
+    keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
+    overrides = {}
+    for name, k, v in zip(block if isinstance(block, tuple) else (block,) * len(keys),
+                          keys, values):
+        overrides.setdefault(name, {})[k] = v
+    bad = minimal_config(**overrides)
     code = cli.main(["train", "--config", str(write_config(tmp_path, bad)),
                      "--out", str(tmp_path / "out")])
     assert code == 2
-    assert path in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dataset, stream, message", [
@@ -290,11 +313,7 @@ def test_train_classes_that_do_not_split_into_the_tasks_exit_2_naming_the_field(
 
     monkeypatch.setattr(D, "generate_synthetic", build)
     monkeypatch.setattr(D, "load_cifar100_binary", build)
-    config = minimal_config(stream=stream)
-    if dataset.get("type") == "cifar100":
-        config["dataset"] = dataset
-    else:
-        config["dataset"].update(dataset)
+    config = minimal_config(dataset=dataset, stream=stream)
     code = cli.main(["train", "--config", str(write_config(tmp_path, config)),
                      "--out", str(tmp_path / "out")])
     assert code == 2
@@ -361,6 +380,25 @@ def test_train_missing_cifar_files_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_train_cifar_file_without_a_fine_label_exits_2_naming_file_and_label(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    for split, absent in (("train", 42), ("test", None)):
+        fine = np.array([c for c in range(100) if c != absent], dtype=np.uint8)
+        D.write_label_records(tmp_path / f"{split}.bin", fine // 5, fine,
+                              rng.integers(0, 256, size=(len(fine), 3, 32, 32), dtype=np.uint8))
+    cfg = {
+        "schema_version": 1,
+        "dataset": {"type": "cifar100", "train_path": str(tmp_path / "train.bin"),
+                    "test_path": str(tmp_path / "test.bin")},
+        "stream": {"tasks": 2},
+    }
+    code = cli.main(["train", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"error: invalid configuration: {tmp_path / 'train.bin'}: no record has fine "
+            "label 42") in capsys.readouterr().err
 
 
 def test_train_out_under_a_regular_file_exits_2_before_training(tmp_path, capsys,

@@ -192,14 +192,14 @@ def fake_features(classes, per_class, dim=4, seed=0):
 
 
 def test_memory_quota_after_first_update():
-    memory = C.ExemplarMemory(capacity=2000)
+    memory = C.ExemplarMemory(C.TrainerConfig(memory_capacity=2000))
     memory.update(fake_features(range(20), 150), n_seen_classes=20)
     assert all(len(memory.store[c]) == 100 for c in range(20))
     assert sum(map(len, memory.store.values())) == 2000
 
 
 def test_memory_requota_truncates_to_prefix():
-    memory = C.ExemplarMemory(capacity=2000)
+    memory = C.ExemplarMemory(C.TrainerConfig(memory_capacity=2000))
     memory.update(fake_features(range(20), 150), n_seen_classes=20)
     before = {c: list(memory.store[c]) for c in range(20)}
     memory.update(fake_features(range(20, 40), 150, seed=1), n_seen_classes=40)
@@ -210,20 +210,34 @@ def test_memory_requota_truncates_to_prefix():
 
 
 def test_memory_caps_at_class_size():
-    memory = C.ExemplarMemory(capacity=100)
+    memory = C.ExemplarMemory(C.TrainerConfig(memory_capacity=100))
     memory.update(fake_features(range(2), 10), n_seen_classes=2)
     assert all(len(memory.store[c]) == 10 for c in range(2))
     assert sum(map(len, memory.store.values())) <= 100
 
 
 def test_memory_per_class_mode_keeps_old_lists():
-    memory = C.ExemplarMemory(capacity=10**9, mode="per_class", per_class_quota=20)
+    memory = C.ExemplarMemory(C.TrainerConfig(memory_capacity=10**9, memory_mode="per_class",
+                                                per_class_quota=20))
     memory.update(fake_features(range(3), 30), n_seen_classes=3)
     before = {c: list(memory.store[c]) for c in range(3)}
     memory.update(fake_features(range(3, 6), 30, seed=2), n_seen_classes=6)
     for c in range(3):
         assert memory.store[c] == before[c]
     assert all(len(memory.store[c]) == 20 for c in range(6))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs_per_task", 0, "epochs_per_task must be at least 1, got 0"),
+    ("batch_size", 0, "batch_size must be at least 1, got 0"),
+    ("memory_capacity", -1, "memory_capacity must be at least 0, got -1"),
+    ("per_class_quota", -1, "per_class_quota must be at least 0, got -1"),
+    ("memory_mode", "lru", "memory_mode must be fixed_total or per_class, got 'lru'"),
+])
+def test_trainer_config_refuses_its_own_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError) as refused:
+        C.TrainerConfig(**{field: value})
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +328,29 @@ def test_memory_invariant_holds_after_every_task():
     stream, train, test, model = tiny_run_setup(n_classes=4, tasks=2, samples=5)
     cfg = fast_config(memory_capacity=6)
     C.run_stream(stream, train, test, model, cfg, master_seed=5)
+
+
+@pytest.mark.parametrize("quota", [3, 7])  # below and above the 5 samples of a class
+def test_per_class_memory_keeps_its_quota_and_every_old_list_in_training(monkeypatch, quota):
+    update_log = []
+    true_update = C.ExemplarMemory.update
+
+    def spying_update(self, per_class_features, n_seen_classes):
+        true_update(self, per_class_features, n_seen_classes)
+        update_log.append((n_seen_classes, {c: list(v) for c, v in self.store.items()}))
+
+    monkeypatch.setattr(C.ExemplarMemory, "update", spying_update)
+    stream, train, test, model = tiny_run_setup(n_classes=6, tasks=3, samples=5)
+    cfg = fast_config(memory_mode="per_class", per_class_quota=quota, memory_capacity=1)
+    C.run_stream(stream, train, test, model, cfg, master_seed=5)
+
+    assert [n_seen for n_seen, _ in update_log] == [2, 4, 6]
+    previous = {}
+    for n_seen, store in update_log:
+        assert sorted(store) == list(range(n_seen))
+        assert all(len(kept) == min(quota, 5) for kept in store.values())
+        assert all(store[cls] == kept for cls, kept in previous.items())
+        previous = store
 
 
 def test_run_reports_offending_task_on_failure(monkeypatch):

@@ -128,11 +128,24 @@ def test_spec_rejects_negative_noise():
 @pytest.mark.parametrize("overrides, split, message", [
     ({"seed": None}, "train", "the dataset seed must be set"),
     ({}, "validation", "split must be 'train' or 'test', got 'validation'"),
-    ({"class_noise": (0.05,) * 3}, "train", "need one noise level per class"),
+    ({"class_noise": (0.05,) * 3}, "train", "class_noise needs 4 entries, got 3"),
 ], ids=["no-seed", "unknown-split", "short-noise"])
 def test_generator_refuses_a_block_it_cannot_draw(overrides, split, message):
     with pytest.raises(ValueError, match=message):
         D.generate_synthetic(small_spec(**overrides), split)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"classes": 0}, "classes must be at least 1, got 0"),
+    ({"test_samples_per_class": 0}, "test_samples_per_class must be at least 1, got 0"),
+    ({"class_noise": (0.05,) * 2}, "class_noise needs 4 entries, got 2"),
+    ({"class_noise": (0.05, -0.1, 0.05, 0.05)},
+     "class_noise levels must be nonnegative, got -0.1"),
+], ids=["no-classes", "no-test-samples", "short-noise", "negative-noise"])
+def test_synthetic_block_refuses_its_own_out_of_range_values(overrides, message):
+    with pytest.raises(ValueError) as refused:
+        small_spec(**overrides)
+    assert str(refused.value) == message
 
 
 def test_class_template_refuses_a_block_without_a_seed():
