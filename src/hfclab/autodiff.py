@@ -10,9 +10,10 @@ none of its inputs requires a gradient, or inside ``with no_grad():``. Frozen
 snapshots, constant-only subgraphs and inference passes therefore hold no
 intermediates; the values they compute are the same either way.
 
-``backward`` releases each non-leaf node's gradient once its closure has
-passed it on, so afterwards ``.grad`` is meaningful on leaves only
-(parameters and inputs created with ``requires_grad=True``).
+``backward`` releases each non-leaf node's gradient, closure and parents once
+the closure has passed the gradient on, so the graph's buffers die during the
+reverse pass. Afterwards ``.grad`` is meaningful on leaves only (parameters and
+inputs created with ``requires_grad=True``), and a graph supports one backward.
 
 ``attention(q, k, v, batch, heads)`` runs every head of a multi-head block in
 one op: q, k and v are full-width row stacks read through head-major
@@ -504,8 +505,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     data += bias.data
 
     def backward(g: np.ndarray) -> None:
-        # classic per-row layer-norm gradient, built in gy's buffer:
-        # inv_std * ((gy - sum(gy)/d) - xhat * (sum(gy * xhat)/d))
+        # inv_std * ((gy - sum(gy)/d) - xhat * (sum(gy * xhat)/d)), built in gy's
+        # buffer; xhat is rebuilt by the forward pass's two ops, so only mu and inv_std are kept
+        xhat = x.data - mu
+        xhat *= inv_std
         gy = g * gain.data
         scratch = gy * xhat
         dot = scratch.sum(axis=-1, keepdims=True) / d
@@ -545,20 +548,28 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _spent(g: np.ndarray) -> None:  # the closure of a node that backward has released
+    raise ValueError("backward: this graph was already released by an earlier backward")
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-accumulate gradients of a scalar loss into all reachable leaves.
 
-    A non-leaf node's gradient is released as soon as its closure has passed it
-    on, so after the call ``.grad`` is meaningful on leaves only.
+    Once a non-leaf node's closure has passed its gradient on, the node drops
+    that gradient, the closure and its parents, so every buffer the closure
+    kept dies as the reverse pass leaves it. After the call ``.grad`` is
+    meaningful on leaves only, and a graph supports one backward: a second
+    one, or one through a node of the released graph, raises ValueError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _topo_order(loss)
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
-            node._grad = None
+            node._grad, node._backward, node._parents = None, _spent, ()
 
 
 # ---------------------------------------------------------------------------

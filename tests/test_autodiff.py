@@ -609,6 +609,17 @@ def test_linear_input_used_elsewhere_gets_exact_gradients(reuse_first):
     assert np.array_equal(b.grad, c1.sum(axis=0))
 
 
+def test_second_backward_on_a_spent_loss_raises_and_keeps_the_gradients():
+    # running the closures again would silently double every leaf gradient
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    loss = ad.sum_(ad.mul(ad.exp(x), x))
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ValueError, match="already released by an earlier backward"):
+        ad.backward(loss)
+    assert np.array_equal(x.grad, first)
+
+
 # ---------------------------------------------------------------------------
 # graph recording
 

@@ -324,10 +324,29 @@ def test_classifier_grows_with_tasks(tmp_path):
     assert ckpt1["n_classes"] == 2  # saved before expansion
 
 
-def test_memory_invariant_holds_after_every_task():
-    stream, train, test, model = tiny_run_setup(n_classes=4, tasks=2, samples=5)
-    cfg = fast_config(memory_capacity=6)
+def test_memory_invariant_holds_after_every_task(monkeypatch):
+    # fixed_total: capacity 12 over 2, 4 and 6 seen classes of 5 samples gives
+    # quotas 6 (capped at the class size), 3 and 2; old lists are only cut short
+    update_log = []
+    true_update = C.ExemplarMemory.update
+
+    def spying_update(self, per_class_features, n_seen_classes):
+        true_update(self, per_class_features, n_seen_classes)
+        update_log.append((n_seen_classes, {c: list(v) for c, v in self.store.items()}))
+
+    monkeypatch.setattr(C.ExemplarMemory, "update", spying_update)
+    stream, train, test, model = tiny_run_setup(n_classes=6, tasks=3, samples=5)
+    cfg = fast_config(memory_capacity=12)
     C.run_stream(stream, train, test, model, cfg, master_seed=5)
+
+    assert [n_seen for n_seen, _ in update_log] == [2, 4, 6]
+    previous = {}
+    for n_seen, store in update_log:
+        assert sorted(store) == list(range(n_seen))
+        assert all(len(kept) == min(12 // n_seen, 5) for kept in store.values())
+        assert all(kept == previous[cls][:len(kept)] for cls, kept in store.items()
+                   if cls in previous)
+        previous = store
 
 
 @pytest.mark.parametrize("quota", [3, 7])  # below and above the 5 samples of a class

@@ -594,8 +594,9 @@ def test_backward_stores_no_gradient_on_constants(stop_gradient):
     batch = L.BatchView(ad.softmax(logits, axis=1), rng.integers(0, 5, size=8),
                         np.array([0, 0, 1, 1, 2]), 3, 2, o / o.sum(axis=1, keepdims=True))
     loss = L.objective(batch, None, 1.0, 0.5, L.LossConfig(weight_stop_gradient=stop_gradient))
-    ad.backward(loss)
+    # collected first: backward releases the parents that lead to them
     constants = [node for node in ad._topo_order(loss) if not node.requires_grad]
+    ad.backward(loss)
     assert constants and all(node._grad is None for node in constants)
     assert logits._grad is not None
 
